@@ -11,20 +11,14 @@ from .band import (
     Band,
     CATALOG_EXAMPLES,
     GreenCache,
-    adjoin_identity,
     catalog,
     chain_semilattice,
-    dual,
     find_embedding,
-    height_of_j_quotient,
     left_zero,
     load_band,
     parse_band_text,
-    preorder,
     rectangular,
     right_zero,
-    subsemigroup,
-    validate_band,
 )
 from .power import (
     DEFAULT_CAP,
@@ -49,13 +43,10 @@ from .quasi import (
     classify,
     construct_forbidden_band,
     embeds_forbidden,
-    find_lambda_dual_witness,
     find_lambda_witness,
     generated_T,
     is_witness,
     normalize_witness,
-    satisfies_lambda,
-    satisfies_lambda_dual,
 )
 from .smp import (
     AutoResult,

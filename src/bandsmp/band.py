@@ -21,7 +21,9 @@ from .errors import (
     OutOfRange,
     SizeBoundExceeded,
     UnknownName,
+    parsing,
 )
+from .power import _bfs
 
 Table = Sequence[Sequence[int]]
 
@@ -169,25 +171,9 @@ class Band:
         return Band(rows, name=f"{self.name}^1" if self.name else None)
 
     def subsemigroup(self, gens: Iterable[int]) -> frozenset[int]:
-        """Closure of gens under the product; <()> is empty.
-
-        BFS by right multiplication with generators; every product
-        g_1 g_2 ... g_k of generators is reached this way.
-        """
-        t = self.table
-        start = sorted(set(gens))
-        seen = set(start)
-        queue = list(start)
-        i = 0
-        while i < len(queue):
-            a = queue[i]
-            i += 1
-            for g in start:
-                p = t[a][g]
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return frozenset(seen)
+        """Closure of gens under the product; <()> is empty."""
+        order, _ = _bfs(self.table, [(g,) for g in set(gens)], self.order, None)
+        return frozenset(a for (a,) in order)
 
     # -- text formats ----------------------------------------------------------
 
@@ -214,40 +200,16 @@ class Band:
         return f"<Band {label} of order {self.order}>"
 
 
-def validate_band(table: Table, name: Optional[str] = None) -> Band:
-    """Validate a 0-based multiplication table and return the Band."""
-    return Band(table, name=name)
-
-
-def preorder(band: Band, rel: str, a: int, b: int) -> bool:
-    return band.leq(rel, a, b)
-
-
-def dual(band: Band) -> Band:
-    return band.dual()
-
-
-def adjoin_identity(band: Band) -> Band:
-    return band.adjoin_identity()
-
-
-def subsemigroup(band: Band, gens: Iterable[int]) -> frozenset[int]:
-    return band.subsemigroup(gens)
-
-
-def height_of_j_quotient(band: Band) -> int:
-    return band.height()
-
-
 # -- band file format --------------------------------------------------------
 
 def parse_band_text(text: str, name: Optional[str] = None) -> Band:
     """Parse the band text format (or its JSON equivalent, 1-based labels)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(stripped)
-        m = int(obj["order"])
-        rows = [[int(v) - 1 for v in row] for row in obj["table"]]
+        with parsing("JSON band"):
+            obj = json.loads(stripped)
+            m = int(obj["order"])
+            rows = [[int(v) - 1 for v in row] for row in obj["table"]]
         if len(rows) != m:
             raise OutOfRange(f"JSON band declares order {m} but has {len(rows)} rows")
         return Band(rows, name=name)
@@ -255,10 +217,11 @@ def parse_band_text(text: str, name: Optional[str] = None) -> Band:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise OutOfRange("empty band file")
-    m = int(lines[0])
-    if len(lines) != m + 1:
-        raise OutOfRange(f"band file declares order {m} but has {len(lines) - 1} rows")
-    rows = [[int(v) - 1 for v in ln.split()] for ln in lines[1:]]
+    with parsing("band"):
+        m = int(lines[0])
+        if len(lines) != m + 1:
+            raise OutOfRange(f"band file declares order {m} but has {len(lines) - 1} rows")
+        rows = [[int(v) - 1 for v in ln.split()] for ln in lines[1:]]
     return Band(rows, name=name)
 
 
@@ -280,24 +243,6 @@ def _generating_sequence(band: Band) -> list[int]:
             gens.append(a)
             closed = band.subsemigroup(gens)
     return gens
-
-
-def _closure_with_defs(band: Band, gens: Sequence[int]):
-    """BFS closure; each non-generator element gets a definition (parent, gen)."""
-    elems = list(gens)
-    defs: dict[int, tuple[int, int]] = {}
-    seen = set(gens)
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        i += 1
-        for g in gens:
-            p = band.table[a][g]
-            if p not in seen:
-                seen.add(p)
-                defs[p] = (a, g)
-                elems.append(p)
-    return elems, defs
 
 
 def find_embedding(
@@ -330,22 +275,24 @@ def find_embedding(
     small_sizes = {g: class_sizes(small, g) for g in gens}
     big_sizes = [class_sizes(big, c) for c in range(big.order)]
 
-    # per-level closures of the small band with product definitions
+    # per-level closures of the small band; the BFS parent map defines each
+    # non-generator element as a product (parent, generator)
     levels = []
     for t in range(1, len(gens) + 1):
-        levels.append(_closure_with_defs(small, gens[:t]))
+        order, parent = _bfs(small.table, [(g,) for g in gens[:t]], small.order, None)
+        levels.append(([a for (a,) in order], parent))
 
     images: dict[int, int] = {}
 
     def extend(level: int) -> Optional[dict[int, int]]:
         """Compute images for the level closure, or None on conflict."""
-        elems, defs = levels[level]
+        elems, parent = levels[level]
         img = dict(images)
         for a in elems:
             if a in img:
                 continue
-            pa, ga = defs[a]
-            img[a] = big.table[img[pa]][img[ga]]
+            (pa,), gi = parent[(a,)]
+            img[a] = big.table[img[pa]][img[gens[gi]]]
         # homomorphism and injectivity over the partial subsemigroup
         if len(set(img[a] for a in elems)) != len(elems):
             return None

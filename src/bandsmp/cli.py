@@ -106,7 +106,10 @@ def _default_cap(args) -> int:
         return args.cap
     env = os.environ.get("BANDSMP_CAP")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise BandSmpError(f"BANDSMP_CAP must be an integer, got {env!r}") from None
     return power.DEFAULT_CAP
 
 
@@ -114,7 +117,6 @@ def _decide_one(band, text, algo, force, cap):
     """Decide one instance; returns (verdict, stats_lines, json_obj)."""
     inst = power.parse_instance(text, band)
     stats = smp.LoopStats()
-    stats.bound = inst.gens.n * (band.height() - 1)
     method = algo
     word = None
     if algo == "poly":
@@ -342,9 +344,6 @@ def _cmd_catalog(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bandsmp", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized behavior (none of the current "
-                             "commands draw randomness; accepted for scripting)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a band table")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class BandSmpError(Exception):
     """Base class for all library errors."""
@@ -36,13 +38,27 @@ class SizeBoundExceeded(BandSmpError):
     pass
 
 
-# --- direct powers ---
+# --- input formats ---
 
-class ArityMismatch(BandSmpError):
+class ParseError(BandSmpError):
     pass
 
 
-class BandMismatch(BandSmpError):
+@contextmanager
+def parsing(what: str):
+    """Re-raise malformed-text failures (bad integers, missing JSON keys,
+    truncated JSON) inside the block as a one-line ParseError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{what}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
+# --- direct powers ---
+
+class ArityMismatch(BandSmpError):
     pass
 
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .band import Band
-from .errors import ArityMismatch, CapExceeded, OutOfRange
+from .errors import ArityMismatch, CapExceeded, OutOfRange, parsing
+
+if TYPE_CHECKING:
+    from .band import Band, Table
 
 ElementTuple = tuple[int, ...]
 
@@ -94,6 +96,11 @@ def prod_tuples(band: Band, tuples: Sequence[ElementTuple]) -> ElementTuple:
     return acc
 
 
+def leq_cw(mat: Sequence[Sequence[bool]], a: ElementTuple, b: ElementTuple) -> bool:
+    """a <= b componentwise under the preorder with boolean table mat."""
+    return all(mat[x][y] for x, y in zip(a, b))
+
+
 def preorder_cw(band: Band, rel: str, a: ElementTuple, b: ElementTuple) -> bool:
     """Componentwise preorder; equals the preorder in the band S^n."""
     if len(a) != len(b):
@@ -106,17 +113,21 @@ def preorder_cw(band: Band, rel: str, a: ElementTuple, b: ElementTuple) -> bool:
         mat = band.green.leq_j
     else:
         raise ValueError(f"unknown preorder {rel!r}")
-    return all(mat[x][y] for x, y in zip(a, b))
+    return leq_cw(mat, a, b)
 
 
-def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]):
-    """Shared BFS: returns (order list, parent map) and stops early at stop_at.
+def _bfs(
+    table: Table,
+    members: Sequence[ElementTuple],
+    cap: int,
+    stop_at: Optional[ElementTuple],
+):
+    """The closure BFS: returns (order list, parent map), stopping early at stop_at.
 
-    parent[t] = (parent tuple, generator index) for non-generator t.
+    Tuples of any arity, 1-tuples included, are multiplied componentwise
+    by table; members must all have the same arity. parent[t] = (parent
+    tuple, generator index) for non-generator t.
     """
-    band = gens.band
-    t = band.table
-    members = gens.members
     order: list[ElementTuple] = []
     parent: dict[ElementTuple, Optional[tuple[ElementTuple, int]]] = {}
     for g in members:
@@ -130,7 +141,7 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]):
         a = order[i]
         i += 1
         for gi, g in enumerate(members):
-            p = tuple(t[x][y] for x, y in zip(a, g))
+            p = tuple(table[x][y] for x, y in zip(a, g))
             if p not in parent:
                 parent[p] = (a, gi)
                 order.append(p)
@@ -143,7 +154,7 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]):
 
 def closure(gens: GenSet, cap: int = DEFAULT_CAP) -> list[ElementTuple]:
     """Full <A> in BFS insertion order; CapExceeded if it grows past cap."""
-    order, _ = _bfs(gens, cap, stop_at=None)
+    order, _ = _bfs(gens.band.table, gens.members, cap, stop_at=None)
     return order
 
 
@@ -151,7 +162,7 @@ def member_closure(gens: GenSet, b: ElementTuple, cap: int = DEFAULT_CAP) -> boo
     """Exact membership b in <A> by closure, with early exit."""
     if len(b) != gens.n:
         raise ArityMismatch(f"target arity {len(b)} != generator arity {gens.n}")
-    _, parent = _bfs(gens, cap, stop_at=b)
+    _, parent = _bfs(gens.band.table, gens.members, cap, stop_at=b)
     return b in parent
 
 
@@ -161,7 +172,7 @@ def member_closure_word(
     """A shortest witnessing generator word (1-based indices), or None."""
     if len(b) != gens.n:
         raise ArityMismatch(f"target arity {len(b)} != generator arity {gens.n}")
-    _, parent = _bfs(gens, cap, stop_at=b)
+    _, parent = _bfs(gens.band.table, gens.members, cap, stop_at=b)
     if b not in parent:
         return None
     word: list[int] = []
@@ -181,10 +192,11 @@ def parse_instance(text: str, band: Band) -> SmpInstance:
     """Parse the SMP instance text format or its JSON equivalent (1-based)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(stripped)
-        n = int(obj["n"])
-        gens = [tuple(int(v) - 1 for v in row) for row in obj["generators"]]
-        target = tuple(int(v) - 1 for v in obj["target"])
+        with parsing("JSON instance"):
+            obj = json.loads(stripped)
+            n = int(obj["n"])
+            gens = [tuple(int(v) - 1 for v in row) for row in obj["generators"]]
+            target = tuple(int(v) - 1 for v in obj["target"])
         return SmpInstance(GenSet(band=band, n=n, members=tuple(gens)), target)
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -193,12 +205,13 @@ def parse_instance(text: str, band: Band) -> SmpInstance:
     head = lines[0].split()
     if len(head) != 2:
         raise ArityMismatch("instance header must be 'n k'")
-    n, k = int(head[0]), int(head[1])
-    if len(lines) != k + 2:
-        raise ArityMismatch(
-            f"instance declares {k} generators but file has {len(lines) - 2}"
-        )
-    rows = [tuple(int(v) - 1 for v in ln.split()) for ln in lines[1:]]
+    with parsing("instance"):
+        n, k = int(head[0]), int(head[1])
+        if len(lines) != k + 2:
+            raise ArityMismatch(
+                f"instance declares {k} generators but file has {len(lines) - 2}"
+            )
+        rows = [tuple(int(v) - 1 for v in ln.split()) for ln in lines[1:]]
     return SmpInstance(GenSet(band=band, n=n, members=tuple(rows[:-1])), rows[-1])
 
 

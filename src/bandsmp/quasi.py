@@ -9,6 +9,7 @@ a band where this and the reversed-word variant both hold is tractable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .band import Band, find_embedding
@@ -100,28 +101,18 @@ def find_lambda_witness(
     return None
 
 
-def satisfies_lambda(band: Band, max_order: int = DEFAULT_SCAN_ORDER_BOUND) -> bool:
-    return find_lambda_witness(band, max_order) is None
-
-
-def find_lambda_dual_witness(
-    band: Band, max_order: int = DEFAULT_SCAN_ORDER_BOUND
-) -> Optional[Witness]:
-    """Witness against the reversed-word quasiidentity: scan the dual band."""
-    return find_lambda_witness(band.dual(), max_order)
-
-
-def satisfies_lambda_dual(band: Band, max_order: int = DEFAULT_SCAN_ORDER_BOUND) -> bool:
-    return find_lambda_dual_witness(band, max_order) is None
-
-
 def classify(band: Band, max_order: int = DEFAULT_SCAN_ORDER_BOUND) -> Classification:
-    """Tractable iff both quasiidentity scans pass; memoized per Band."""
+    """Tractable iff both quasiidentity scans pass; memoized per Band.
+
+    The reversed-word scan is the plain scan of the dual band. A band
+    over the order bound falls through to the scan, which raises, so a
+    memoized band answers as a fresh one would.
+    """
     memo = getattr(band, "_classification", None)
-    if memo is not None:
+    if memo is not None and band.order <= max_order:
         return memo
     w = find_lambda_witness(band, max_order)
-    wd = find_lambda_dual_witness(band, max_order)
+    wd = find_lambda_witness(band.dual(), max_order)
     result = Classification(
         tractable=(w is None and wd is None),
         lambda_witness=w,
@@ -213,6 +204,7 @@ _CASES = {
 }
 
 
+@cache
 def construct_forbidden_band(case: str) -> Band:
     """Synthesize one of the four minimal bands breaking the quasiidentity.
 
@@ -220,7 +212,9 @@ def construct_forbidden_band(case: str) -> Band:
     that is the rectangular band rows x columns, with columns
     {d, dx, de, dxe} and rows {d} / {d, yd} / {d, xd} / {d, xd, yd}
     depending on the case. The result passes band validation and fails
-    the quasiidentity with canonical witness (d, e, x, y, h).
+    the quasiidentity with canonical witness (d, e, x, y, h). Each band
+    is built once per process and shared: a Band is immutable apart from
+    its deterministic memo slots.
     """
     if case not in _CASES:
         raise UnknownName(f"unknown forbidden-band case {case!r}")

@@ -26,9 +26,10 @@ from .power import (
     ElementTuple,
     GenSet,
     SmpInstance,
+    leq_cw,
     member_closure_word,
     mul_tuple,
-    preorder_cw,
+    prod_tuples,
 )
 from .quasi import classify
 
@@ -64,18 +65,17 @@ class CpInfixInstance:
     gens: GenSet
 
     def __post_init__(self):
-        band = self.gens.band
+        leq_j = self.gens.band.green.leq_j
         n = self.gens.n
         for label, t in (("c", self.c), ("d", self.d), ("e", self.e)):
             if len(t) != n:
                 raise PreconditionViolated(f"{label} has arity {len(t)}, expected {n}")
-        if not (preorder_cw(band, "J", self.c, self.d)
-                and preorder_cw(band, "J", self.d, self.c)):
+        if not (leq_cw(leq_j, self.c, self.d) and leq_cw(leq_j, self.d, self.c)):
             raise PreconditionViolated("c J d componentwise")
-        if not preorder_cw(band, "J", self.d, self.e):
+        if not leq_cw(leq_j, self.d, self.e):
             raise PreconditionViolated("d <=_J e componentwise")
         for a in self.gens:
-            if not preorder_cw(band, "J", self.e, a):
+            if not leq_cw(leq_j, self.e, a):
                 raise PreconditionViolated("e <=_J a componentwise for every a in A")
 
     @property
@@ -92,11 +92,6 @@ def _require_lambda(band: Band, force: bool) -> None:
         )
 
 
-def _leq_j_cw(band: Band, a: ElementTuple, b: ElementTuple) -> bool:
-    leq = band.green.leq_j
-    return all(leq[x][y] for x, y in zip(a, b))
-
-
 def cp_infix(
     inst: CpInfixInstance,
     force: bool = False,
@@ -109,16 +104,21 @@ def cp_infix(
     sound unconditionally.
     """
     _require_lambda(inst.band, force)
-    return _cp_infix_core(inst, stats)
+    return _cp_infix_core(inst.band, inst.gens.members, inst.c, inst.d, inst.e, stats)
 
 
 def _cp_infix_core(
-    inst: CpInfixInstance, stats: Optional[LoopStats]
+    band: Band,
+    A: tuple[ElementTuple, ...],
+    c: ElementTuple,
+    d: ElementTuple,
+    e: ElementTuple,
+    stats: Optional[LoopStats],
 ) -> Optional[ElementTuple]:
-    band = inst.band
+    """The infix search on raw tuples; callers guarantee the preconditions
+    that CpInfixInstance checks."""
     t = band.table
     leq_j = band.green.leq_j
-    c, d, e, A = inst.c, inst.d, inst.e, inst.gens.members
     n = len(c)
     m = band.order
     bound = n * (band.height() - 1)
@@ -143,26 +143,22 @@ def _cp_infix_core(
         body_count = 0
         while True:
             dy = mul_tuple(band, d, y)
-            a1 = None
-            for a in A:
-                if _leq_j_cw(band, y, a) and \
-                        mul_tuple(band, mul_tuple(band, dy, a), e) == c:
-                    a1 = a
-                    break
-            if a1 is not None:
-                if stats is not None:
-                    stats.record_infix_pass(body_count)
-                result = mul_tuple(band, y, a1)
-                if mul_tuple(band, mul_tuple(band, d, result), e) != c:
-                    raise AssertionError("infix solver returned an unverified solution")
-                return result
+            for a1 in A:
+                if leq_cw(leq_j, y, a1) and \
+                        mul_tuple(band, mul_tuple(band, dy, a1), e) == c:
+                    if stats is not None:
+                        stats.record_infix_pass(body_count)
+                    result = mul_tuple(band, y, a1)
+                    if mul_tuple(band, mul_tuple(band, d, result), e) != c:
+                        raise AssertionError("infix solver returned an unverified solution")
+                    return result
             pair = None
             for a2 in A:
-                if not _leq_j_cw(band, y, a2):
+                if not leq_cw(leq_j, y, a2):
                     continue
                 dya2 = mul_tuple(band, dy, a2)
                 for a3 in A:
-                    if _leq_j_cw(band, y, a3):
+                    if leq_cw(leq_j, y, a3):
                         continue
                     prod = mul_tuple(band, mul_tuple(band, mul_tuple(band, dya2, a3), s), e)
                     if prod == c:
@@ -195,48 +191,44 @@ def cp_suffix(
     generators lying J-above the current x.
     """
     _require_lambda(gens.band, force)
-    return _cp_suffix_core(gens, b, stats)
+    return _cp_suffix_core(gens.band, gens.members, b, stats)
 
 
 def _cp_suffix_core(
-    gens: GenSet, b: ElementTuple, stats: Optional[LoopStats]
+    band: Band,
+    A: tuple[ElementTuple, ...],
+    b: ElementTuple,
+    stats: Optional[LoopStats],
 ) -> Optional[ElementTuple]:
-    band = gens.band
-    A = gens.members
-    n = gens.n
-    leq_l = band.green.leq_l
-    bound = n * (band.height() - 1)
+    """The suffix loop on raw tuples.
 
-    x = None
-    for a in A:
-        if mul_tuple(band, b, a) == b:
-            x = a
+    Every step keeps b x = b: the infix solution gives (b a) y x = b.
+    Hence b a J b and b a <=_J x, and x <=_J a' for every a' in A_x, so
+    each infix instance meets its preconditions without a check.
+    """
+    leq_l = band.green.leq_l
+    leq_j = band.green.leq_j
+    bound = len(b) * (band.height() - 1)
+
+    for x in A:
+        if mul_tuple(band, b, x) == b:
             break
-    if x is None:
+    else:
         return None
 
-    def l_related(u: ElementTuple, v: ElementTuple) -> bool:
-        return all(leq_l[p][q] and leq_l[q][p] for p, q in zip(u, v))
-
     iterations = 0
-    while not l_related(x, b):
-        a_x = tuple(ap for ap in A if _leq_j_cw(band, x, ap))
-        sub_gens = GenSet(band=band, n=n, members=a_x)
-        found = None
+    while not (leq_cw(leq_l, x, b) and leq_cw(leq_l, b, x)):
+        a_x = tuple(ap for ap in A if leq_cw(leq_j, x, ap))
         for a in A:
-            if not _leq_j_cw(band, b, a) or _leq_j_cw(band, x, a):
+            if not leq_cw(leq_j, b, a) or leq_cw(leq_j, x, a):
                 continue
-            ba = mul_tuple(band, b, a)
-            inner = CpInfixInstance(c=b, d=ba, e=x, gens=sub_gens)
-            y = _cp_infix_core(inner, stats)
+            y = _cp_infix_core(band, a_x, b, mul_tuple(band, b, a), x, stats)
             if y is not None:
-                found = (a, y)
                 break
-        if found is None:
+        else:
             if stats is not None:
                 stats.record_suffix_call(iterations)
             return None
-        a, y = found
         x = mul_tuple(band, mul_tuple(band, a, y), x)
         iterations += 1
         if iterations > bound:
@@ -267,12 +259,10 @@ def smp_decide_poly(
         )
     if stats is not None:
         stats.bound = inst.gens.n * (band.height() - 1)
-    x = _cp_suffix_core(inst.gens, inst.target, stats)
+    x = _cp_suffix_core(band, inst.gens.members, inst.target, stats)
     if x is None:
         return False
-    dual_band = band.dual()
-    dual_gens = GenSet(band=dual_band, n=inst.gens.n, members=inst.gens.members)
-    y = _cp_suffix_core(dual_gens, inst.target, stats)
+    y = _cp_suffix_core(band.dual(), inst.gens.members, inst.target, stats)
     if y is None:
         return False
     if mul_tuple(band, y, x) != inst.target:
@@ -311,8 +301,4 @@ def verify_word(gens: GenSet, word: Sequence[int], b: ElementTuple) -> bool:
     for i in word:
         if not 1 <= i <= k:
             raise IndexOutOfRange(f"generator index {i} outside 1..{k}")
-    acc = members[word[0] - 1]
-    band = gens.band
-    for i in word[1:]:
-        acc = mul_tuple(band, acc, members[i - 1])
-    return acc == b
+    return prod_tuples(gens.band, [members[i - 1] for i in word]) == b

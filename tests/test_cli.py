@@ -194,6 +194,41 @@ class TestSmp:
         assert serial == parallel and code1 == code2
 
 
+class TestMalformedInput:
+    # exit 1 means "non-member", so malformed input must exit 2 with one line
+    def assert_one_line_error(self, code, err, kind):
+        assert code == 2
+        assert len(err.splitlines()) == 1 and kind in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "1 2\nx2\n3\n4\n",
+        '{"n": 1, "target": [4]}',
+        '{"n": 1, "generators": [[2], [3]], "tar',
+    ], ids=["non-integer token", "no generators key", "truncated JSON"])
+    def test_instance_file(self, capsys, tmp_path, text):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "smp", "--catalog", "S10", "--instance", str(path))
+        self.assert_one_line_error(code, err, "ParseError")
+
+    @pytest.mark.parametrize("text", [
+        "2\n1 1\n2 x\n",
+        '{"order": 1}',
+        '{"order": 1, "table": [[1]',
+    ], ids=["non-integer token", "no table key", "truncated JSON"])
+    def test_band_file(self, capsys, tmp_path, text):
+        path = tmp_path / "band.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "validate", "--band", str(path))
+        self.assert_one_line_error(code, err, "ParseError")
+
+    def test_non_integer_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("BANDSMP_CAP", "abc")
+        code, _, err = run(capsys, "smp", "--catalog", "S10", "--inline", "1 2; 2; 3; 4")
+        self.assert_one_line_error(code, err, "BANDSMP_CAP")
+
+
 class TestWords:
     def test_hn(self, capsys):
         code, out, _ = run(capsys, "words", "hn", "--n", "3", "2 1")

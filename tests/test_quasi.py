@@ -5,6 +5,7 @@ import random
 import pytest
 
 from bandsmp import (
+    Band,
     Witness,
     canonical_forbidden_witness,
     catalog,
@@ -12,14 +13,10 @@ from bandsmp import (
     construct_forbidden_band,
     embeds_forbidden,
     find_embedding,
-    find_lambda_dual_witness,
     find_lambda_witness,
     generated_T,
     is_witness,
     normalize_witness,
-    satisfies_lambda,
-    satisfies_lambda_dual,
-    validate_band,
 )
 from bandsmp.errors import BudgetExceeded, NotAWitness, UnknownName
 
@@ -37,22 +34,23 @@ class TestLambdaScan:
         assert S9_WITNESS.labels() == (6, 3, 2, 5, 1)
 
     def test_s10_satisfies_both(self, s10):
-        assert satisfies_lambda(s10)
-        assert satisfies_lambda_dual(s10)
+        assert find_lambda_witness(s10) is None
+        assert find_lambda_witness(s10.dual()) is None
 
     def test_trivial_band(self):
-        assert satisfies_lambda(validate_band([[0]]))
+        assert find_lambda_witness(Band([[0]])) is None
 
     def test_s9_satisfies_the_dual_quasiidentity(self, s9):
         # only the plain scan fails on this table; the reversed one holds
-        assert find_lambda_dual_witness(s9) is None
+        assert find_lambda_witness(s9.dual()) is None
 
     def test_dual_of_s9_fails_the_dual_scan(self, s9):
-        assert find_lambda_dual_witness(s9.dual()) == S9_WITNESS
+        assert find_lambda_witness(s9.dual().dual()) == S9_WITNESS
 
     def test_two_element_semilattice(self):
         band = catalog("SL-chain(2)")
-        assert satisfies_lambda(band) and satisfies_lambda_dual(band)
+        assert find_lambda_witness(band) is None
+        assert find_lambda_witness(band.dual()) is None
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -129,6 +127,12 @@ class TestClassify:
 
     def test_memoized_per_band(self, s10):
         assert classify(s10) is classify(s10)
+
+    def test_order_bound_checked_before_memo(self):
+        band = catalog("S10")
+        classify(band)
+        with pytest.raises(BudgetExceeded):
+            classify(band, max_order=5)
 
     @pytest.mark.parametrize("name", FAILING)
     def test_failing_catalog_bands(self, name):

@@ -5,11 +5,14 @@ import random
 import pytest
 
 from bandsmp import (
+    CATALOG_EXAMPLES,
+    Band,
     CpInfixInstance,
     GenSet,
     LoopStats,
     SmpInstance,
     catalog,
+    classify,
     closure,
     cp_infix,
     cp_suffix,
@@ -18,9 +21,9 @@ from bandsmp import (
     preorder_cw,
     smp_decide_auto,
     smp_decide_poly,
-    validate_band,
     verify_word,
 )
+from bandsmp import smp
 from bandsmp.errors import (
     EmptyWord,
     IndexOutOfRange,
@@ -156,6 +159,41 @@ class TestCpSuffix:
         assert hits > 30
 
 
+class TestSuffixInvariant:
+    def test_every_infix_step_meets_its_preconditions(self, monkeypatch):
+        # the suffix loop hands its infix instances over unchecked, relying on
+        # b x = b holding at every step; rebuild each one as a checked
+        # CpInfixInstance so that a broken invariant fails here
+        core = smp._cp_infix_core
+        calls = 0
+
+        def checked(band, A, c, d, e, stats):
+            nonlocal calls
+            calls += 1
+            CpInfixInstance(c=c, d=d, e=e, gens=GenSet(band=band, n=len(c), members=A))
+            return core(band, A, c, d, e, stats)
+
+        monkeypatch.setattr(smp, "_cp_infix_core", checked)
+        rng = random.Random(11)
+        stats = LoopStats()
+        for name in CATALOG_EXAMPLES:
+            band = catalog(name)
+            if not classify(band).tractable:
+                continue
+            for b in (band, band.dual()):
+                for _ in range(100):
+                    n = rng.randint(1, 8)
+                    A = sorted({tuple(rng.randrange(b.order) for _ in range(n))
+                                for _ in range(rng.randint(1, 6))})
+                    target = A[rng.randrange(len(A))]
+                    for _ in range(rng.randint(0, 6)):
+                        target = mul_tuple(b, target, A[rng.randrange(len(A))])
+                    x = cp_suffix(GenSet.of(b, A), target, stats=stats)
+                    assert x is not None  # targets are products of generators
+        assert calls > 100
+        assert stats.suffix_call_max >= 3  # steps after x has moved are covered
+
+
 class TestSmpDecide:
     def test_member_product(self, s10):
         inst = SmpInstance(GenSet.of(s10, [(1,), (2,)]), (3,))
@@ -259,7 +297,7 @@ class TestAuto:
         assert verify_word(inst.gens, result.word, inst.target)
 
     def test_trivial_band(self):
-        band = validate_band([[0]])
+        band = Band([[0]])
         inst = SmpInstance(GenSet.of(band, [(0, 0)]), (0, 0))
         result = smp_decide_auto(inst)
         assert result.member and result.method == "poly"
