@@ -63,6 +63,8 @@ class Band:
                     )
         self.order = m
         self.table = tuple(rows)
+        # the same table as the smallest unsigned numpy dtype that holds m - 1
+        self.array = np.array(rows, dtype=np.min_scalar_type(m - 1))
         self.name = name
         self._validate_axioms()
         self.green = self._compute_green()
@@ -72,7 +74,7 @@ class Band:
     # -- construction helpers ------------------------------------------------
 
     def _validate_axioms(self) -> None:
-        t = np.array(self.table, dtype=np.int64)
+        t = self.array.astype(np.intp)  # index arrays: intp saves a cast per lookup
         m = self.order
         idx = np.arange(m)
         diag = t[idx, idx]
@@ -88,7 +90,7 @@ class Band:
                 raise NotAssociative(a, b, c)
 
     def _compute_green(self) -> GreenCache:
-        t = np.array(self.table, dtype=np.int64)
+        t = self.array.astype(np.intp)
         m = self.order
         col = np.arange(m)[:, None]
         leq_l = t == col            # a*b == a
@@ -172,8 +174,12 @@ class Band:
 
     def subsemigroup(self, gens: Iterable[int]) -> frozenset[int]:
         """Closure of gens under the product; <()> is empty."""
-        order, _ = _bfs(self.table, [(g,) for g in set(gens)], self.order, None)
-        return frozenset(a for (a,) in order)
+        gens = set(gens)
+        for g in gens:
+            if not 0 <= g < self.order:
+                raise OutOfRange(f"element {g + 1} outside 1..{self.order}")
+        found = _bfs(self, [(g,) for g in gens], 1, self.order, None)
+        return frozenset(found.rows(1)[:, 0].tolist())
 
     # -- text formats ----------------------------------------------------------
 
@@ -235,16 +241,6 @@ def load_band(path: str) -> Band:
 DEFAULT_EMBED_BOUND = 17
 
 
-def _generating_sequence(band: Band) -> list[int]:
-    gens: list[int] = []
-    closed: frozenset[int] = frozenset()
-    for a in range(band.order):
-        if a not in closed:
-            gens.append(a)
-            closed = band.subsemigroup(gens)
-    return gens
-
-
 def find_embedding(
     small: Band, big: Band, size_bound: int = DEFAULT_EMBED_BOUND
 ) -> Optional[tuple[int, ...]]:
@@ -262,7 +258,20 @@ def find_embedding(
     if small.order > big.order:
         return None
 
-    gens = _generating_sequence(small)
+    # a generating sequence, each element outside the closure of those before
+    # it, with the closure of every prefix; the BFS links define each
+    # non-generator element as a product (parent, generator)
+    gens: list[int] = []
+    levels = []
+    closed: set[int] = set()
+    for a in range(small.order):
+        if a not in closed:
+            gens.append(a)
+            found = _bfs(small, [(g,) for g in gens], 1, small.order, None)
+            elems = found.rows(1)[:, 0].tolist()
+            parent, gen = found.links()
+            levels.append((elems, parent.tolist(), gen.tolist()))
+            closed = set(elems)
 
     def class_sizes(band: Band, a: int) -> tuple[int, int, int]:
         gl = sum(1 for b in range(band.order)
@@ -275,24 +284,16 @@ def find_embedding(
     small_sizes = {g: class_sizes(small, g) for g in gens}
     big_sizes = [class_sizes(big, c) for c in range(big.order)]
 
-    # per-level closures of the small band; the BFS parent map defines each
-    # non-generator element as a product (parent, generator)
-    levels = []
-    for t in range(1, len(gens) + 1):
-        order, parent = _bfs(small.table, [(g,) for g in gens[:t]], small.order, None)
-        levels.append(([a for (a,) in order], parent))
-
     images: dict[int, int] = {}
 
     def extend(level: int) -> Optional[dict[int, int]]:
         """Compute images for the level closure, or None on conflict."""
-        elems, parent = levels[level]
+        elems, parent, gen = levels[level]
         img = dict(images)
-        for a in elems:
+        for j, a in enumerate(elems):
             if a in img:
                 continue
-            (pa,), gi = parent[(a,)]
-            img[a] = big.table[img[pa]][img[gens[gi]]]
+            img[a] = big.table[img[elems[parent[j]]]][img[gens[gen[j]]]]
         # homomorphism and injectivity over the partial subsemigroup
         if len(set(img[a] for a in elems)) != len(elems):
             return None

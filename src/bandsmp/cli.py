@@ -206,12 +206,13 @@ def _cmd_smp(args) -> int:
 
     # batch mode: one verdict line per instance, order preserved
     results = []
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(sources), os.cpu_count() or 1)
+    if jobs > 1:
         payloads = [
             (band.to_text(), name, args.algo, args.force, cap)
             for name, _ in sources
         ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_decide_worker, payloads))
     else:
         for name, text in sources:
@@ -375,7 +376,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=None,
                    help="closure cap (default 5e6; env BANDSMP_CAP overrides)")
     p.add_argument("--stats", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for a batch; at most one per file and per CPU")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_smp)
 

@@ -216,11 +216,12 @@ def _cp_suffix_core(
     else:
         return None
 
+    above_b = tuple(a for a in A if leq_cw(leq_j, b, a))
     iterations = 0
     while not (leq_cw(leq_l, x, b) and leq_cw(leq_l, b, x)):
         a_x = tuple(ap for ap in A if leq_cw(leq_j, x, ap))
-        for a in A:
-            if not leq_cw(leq_j, b, a) or leq_cw(leq_j, x, a):
+        for a in above_b:
+            if leq_cw(leq_j, x, a):
                 continue
             y = _cp_infix_core(band, a_x, b, mul_tuple(band, b, a), x, stats)
             if y is not None:

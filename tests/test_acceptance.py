@@ -126,7 +126,7 @@ def test_criterion_4_forbidden_band_synthesis():
 
 def _random_instance(band, rng, max_n, max_k):
     n = rng.randint(1, max_n)
-    k = rng.randint(1, max_k)
+    k = min(rng.randint(1, max_k), band.order ** n)  # no more than there are tuples
     members = set()
     while len(members) < k:
         members.add(tuple(rng.randrange(band.order) for _ in range(n)))
@@ -139,6 +139,15 @@ def _random_instance(band, rng, max_n, max_k):
     else:
         target = tuple(rng.randrange(band.order) for _ in range(n))
     return SmpInstance(gens, target)
+
+
+def test_random_instance_stops_at_the_number_of_tuples():
+    # LZ(2) has two 1-tuples, fewer than max_k generators
+    band = catalog("LZ(2)")
+    rng = random.Random(0)
+    for _ in range(50):
+        inst = _random_instance(band, rng, max_n=1, max_k=4)
+        assert 1 <= len(inst.gens) <= 2
 
 
 def test_criterion_5_oracle_equivalence():

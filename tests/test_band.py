@@ -174,6 +174,10 @@ class TestSubsemigroup:
         assert s9.subsemigroup([3]) == frozenset([3])
         assert s9.subsemigroup([]) == frozenset()
 
+    def test_out_of_range_generator(self, s9):
+        with pytest.raises(OutOfRange):
+            s9.subsemigroup([0, 9])
+
     @pytest.mark.parametrize("name", ["S9", "T13a", "Rect(2,3)"])
     def test_closure_operator_laws(self, name):
         band = catalog(name)

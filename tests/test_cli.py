@@ -5,6 +5,7 @@ import json
 import pytest
 
 from bandsmp import catalog, member_closure, parse_band_text, parse_instance, sat_oracle
+from bandsmp import cli
 from bandsmp.cli import main
 from bandsmp.reduction import SatInstance
 
@@ -192,6 +193,42 @@ class TestSmp:
             capsys, "smp", "--catalog", "S10", "--instance", *files, "--jobs", "2",
         )
         assert serial == parallel and code1 == code2
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (64, 8, [3]),   # no more workers than files
+        (64, 2, [2]),   # nor than CPUs
+        (2, 8, [2]),
+        (64, 1, []),    # one CPU: decided in this process
+        (64, None, []),  # CPU count unknown: likewise
+    ])
+    def test_jobs_clamped(self, capsys, tmp_path, monkeypatch, jobs, cpus, workers):
+        # a stand-in pool records max_workers and maps in this process
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        files = []
+        for i, text in enumerate(["1 2; 2; 3; 4", "1 1; 3; 4", "1 1; 2; 2"]):
+            p = tmp_path / f"i{i}.txt"
+            p.write_text(text.replace("; ", "\n") + "\n")
+            files.append(str(p))
+        serial = run(capsys, "smp", "--catalog", "S10", "--instance", *files)
+        batch = run(capsys, "smp", "--catalog", "S10", "--instance", *files, "--jobs", str(jobs))
+        assert seen == workers
+        assert batch == serial
 
 
 class TestMalformedInput:

@@ -1,11 +1,13 @@
 """Direct-power tuples, componentwise preorders, and the closure oracle."""
 
+import itertools
 import random
 
 import pytest
 
 from bandsmp import (
     GenSet,
+    SatInstance,
     SmpInstance,
     catalog,
     closure,
@@ -16,8 +18,11 @@ from bandsmp import (
     mul_tuple,
     parse_instance,
     preorder_cw,
+    sat_to_smp,
     verify_word,
 )
+from bandsmp import power
+from bandsmp.band import CATALOG_EXAMPLES
 from bandsmp.errors import ArityMismatch, CapExceeded, OutOfRange
 
 import oracles
@@ -142,6 +147,12 @@ class TestMembership:
     def test_singleton_excludes(self, s10):
         assert not member_closure(GenSet.of(s10, [(2,)]), (3,))
 
+    def test_target_outside_the_band(self, s10):
+        gens = GenSet.of(s10, [(1, 0), (2, 9)])
+        for b in [(10, 0), (-1, 0), (300, 0)]:
+            assert member_closure(gens, b) is False
+            assert member_closure_word(gens, b) is None
+
     def test_word_witness_verifies(self, s10):
         gens = GenSet.of(s10, [(1,), (2,)])
         word = member_closure_word(gens, (3,))
@@ -183,3 +194,153 @@ class TestInstanceFormat:
     def test_header_mismatch(self, s10):
         with pytest.raises(ArityMismatch):
             parse_instance("1 2\n1\n2\n", s10)
+
+
+# -- the array BFS against a one-tuple-at-a-time BFS ---------------------------
+
+def tuple_bfs(table, members, cap, stop_at):
+    """A one-tuple-at-a-time, dict-backed closure BFS: the referee.
+
+    Returns (insertion order, parent map); parent[t] = (parent tuple,
+    generator index) for a non-generator t, None for a generator.
+    """
+    order = []
+    parent = {}
+    for g in members:
+        if g not in parent:
+            parent[g] = None
+            order.append(g)
+    if stop_at is not None and stop_at in parent:
+        return order, parent
+    i = 0
+    while i < len(order):
+        a = order[i]
+        i += 1
+        for gi, g in enumerate(members):
+            p = tuple(table[x][y] for x, y in zip(a, g))
+            if p not in parent:
+                parent[p] = (a, gi)
+                order.append(p)
+                if len(order) > cap:
+                    raise CapExceeded(len(order))
+                if p == stop_at:
+                    return order, parent
+    return order, parent
+
+
+def tuple_word(members, b, cap, table):
+    _, parent = tuple_bfs(table, members, cap, b)
+    if b not in parent:
+        return None
+    word = []
+    cur = b
+    while parent[cur] is not None:
+        cur, gi = parent[cur]
+        word.append(gi + 1)
+    word.append(members.index(cur) + 1)
+    return word[::-1]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CapExceeded as exc:
+        return ("cap exceeded", exc.size_so_far)
+
+
+def assert_same_as_tuple_bfs(gens, targets):
+    """Same closure order, words and cap points as the referee."""
+    table, members = gens.band.table, gens.members
+    order, _ = tuple_bfs(table, members, power.DEFAULT_CAP, None)
+    assert closure(gens) == order
+    k, size = len(members), len(order)
+    caps = sorted({0, 1, k - 1, k, k + 1, size // 2, size - 1, size, size + 1} - {-1})
+    for cap in caps:
+        assert outcome(closure, gens, cap) == outcome(
+            lambda: tuple_bfs(table, members, cap, None)[0])
+    position = {t: j for j, t in enumerate(order)}
+    for b in targets:
+        # b is tuple number j + 1 of the closure; caps j and j + 1 fall either side
+        j = position.get(b, size)
+        for cap in sorted({0, j - 1, j, j + 1, power.DEFAULT_CAP} - {-1}):
+            want = outcome(tuple_word, members, b, cap, table)
+            assert outcome(member_closure_word, gens, b, cap) == want
+            assert outcome(member_closure, gens, b, cap) == (
+                want if isinstance(want, tuple) else want is not None)
+
+
+def targets_for(gens, rng, extra=()):
+    """Every generator, products of random generator words, random tuples and extra."""
+    band, members, n = gens.band, gens.members, gens.n
+    out = list(members) + list(extra)
+    for _ in range(3):
+        word = [rng.choice(members) for _ in range(rng.randint(2, 6))]
+        out.append(power.prod_tuples(band, word))
+        out.append(tuple(rng.randrange(band.order) for _ in range(n)))
+    return out
+
+
+def random_gens(band, rng, n, k, draw):
+    members = set()
+    while len(members) < min(k, band.order ** n):
+        members.add(tuple(draw() for _ in range(n)))
+    return GenSet.of(band, sorted(members), n=n)
+
+
+@pytest.fixture(params=["one block", "one tuple per block"])
+def block_bytes(request, monkeypatch):
+    # one tuple per block exercises every block boundary and run merge
+    if request.param == "one tuple per block":
+        monkeypatch.setattr(power, "_BLOCK_BYTES", 1)
+
+
+class TestAgainstTupleBfs:
+    @pytest.mark.parametrize("name", CATALOG_EXAMPLES)
+    def test_catalog_bands(self, name, block_bytes):
+        band = catalog(name)
+        rng = random.Random(f"array-bfs/{name}")
+        for _ in range(6):
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            gens = random_gens(band, rng, n, k, lambda: rng.randrange(band.order))
+            assert_same_as_tuple_bfs(gens, targets_for(gens, rng))
+
+    @pytest.mark.parametrize("name", ["S10", "T13a", "Rect(3,4)", "LZ(3)", "SL-chain(4)"])
+    def test_zero_coordinates(self, name, block_bytes):
+        # element 0 is a null byte in the row keys: trailing, inner and all-zero rows
+        band = catalog(name)
+        rng = random.Random(f"array-bfs-zeros/{name}")
+        for _ in range(6):
+            n, k = rng.randint(2, 6), rng.randint(2, 5)
+
+            def draw():
+                return 0 if rng.random() < 0.6 else rng.randrange(band.order)
+            gens = random_gens(band, rng, n, k, draw)
+            if (0,) * n not in gens.members and rng.random() < 0.5:
+                gens = GenSet.of(band, gens.members + ((0,) * n,), n=n)
+            trailing = tuple(list(gens.members[0][:1]) + [0] * (n - 1))
+            assert_same_as_tuple_bfs(gens, targets_for(gens, rng, [(0,) * n, trailing]))
+
+    @pytest.mark.parametrize("name", ["SL-chain(300)", "Rect(15,20)"])
+    def test_order_over_256(self, name, block_bytes):
+        # two bytes a coordinate; 256 and 512 have a zero low byte
+        band = catalog(name)
+        rng = random.Random(f"array-bfs-wide/{name}")
+        values = [0, 1, 255, 256, 257, band.order - 1]
+        for _ in range(4):
+            n, k = rng.randint(2, 4), rng.randint(2, 5)
+
+            def draw():
+                return rng.choice(values) if rng.random() < 0.5 else rng.randrange(band.order)
+            gens = random_gens(band, rng, n, k, draw)
+            assert_same_as_tuple_bfs(gens, targets_for(gens, rng, [(256,) * n]))
+
+    @pytest.mark.parametrize("count", [7, 8])
+    def test_sat_gadget(self, count, block_bytes):
+        # all eight 3-clauses over 3 variables are unsatisfiable: the whole
+        # 411-tuple closure at arity 14; seven leave one satisfying assignment
+        signs = itertools.product((1, -1), repeat=3)
+        clauses = [frozenset(s * v for s, v in zip(sign, (1, 2, 3))) for sign in signs]
+        out = sat_to_smp(SatInstance(3, tuple(clauses[:count])))
+        gens = out.instance.gens
+        rng = random.Random(f"array-bfs-gadget/{count}")
+        assert_same_as_tuple_bfs(gens, targets_for(gens, rng, [out.instance.target]))
