@@ -28,13 +28,16 @@ from .power import _bfs
 Table = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreenCache:
-    """Precomputed L/R/J preorders, J-partition, and J-quotient height."""
+    """Precomputed L/R/J preorders, J-partition, and J-quotient height.
 
-    leq_l: tuple[tuple[bool, ...], ...]
-    leq_r: tuple[tuple[bool, ...], ...]
-    leq_j: tuple[tuple[bool, ...], ...]
+    The preorders are read-only (m, m) boolean arrays: leq_j[a, b] is a <=_J b.
+    """
+
+    leq_l: np.ndarray
+    leq_r: np.ndarray
+    leq_j: np.ndarray
     j_class_of: tuple[int, ...]
     j_classes: tuple[tuple[int, ...], ...]
     height: int
@@ -63,8 +66,10 @@ class Band:
                     )
         self.order = m
         self.table = tuple(rows)
-        # the same table as the smallest unsigned numpy dtype that holds m - 1
+        # the same table as the smallest unsigned numpy dtype that holds m - 1,
+        # and as intp for index arithmetic, which then needs no cast per lookup
         self.array = np.array(rows, dtype=np.min_scalar_type(m - 1))
+        self.itable = self.array.astype(np.intp)
         self.name = name
         self._validate_axioms()
         self.green = self._compute_green()
@@ -74,7 +79,7 @@ class Band:
     # -- construction helpers ------------------------------------------------
 
     def _validate_axioms(self) -> None:
-        t = self.array.astype(np.intp)  # index arrays: intp saves a cast per lookup
+        t = self.itable
         m = self.order
         idx = np.arange(m)
         diag = t[idx, idx]
@@ -90,7 +95,7 @@ class Band:
                 raise NotAssociative(a, b, c)
 
     def _compute_green(self) -> GreenCache:
-        t = self.array.astype(np.intp)
+        t = self.itable
         m = self.order
         col = np.arange(m)[:, None]
         leq_l = t == col            # a*b == a
@@ -117,11 +122,12 @@ class Band:
             return best
 
         height = max(chain_below(i) for i in range(len(reps)))
-        to_tuple = lambda mat: tuple(tuple(bool(v) for v in row) for row in mat)
+        for mat in (t, leq_l, leq_r, leq_j):
+            mat.setflags(write=False)
         return GreenCache(
-            leq_l=to_tuple(leq_l),
-            leq_r=to_tuple(leq_r),
-            leq_j=to_tuple(leq_j),
+            leq_l=leq_l,
+            leq_r=leq_r,
+            leq_j=leq_j,
             j_class_of=tuple(j_class_of),
             j_classes=tuple(classes),
             height=height,
@@ -143,15 +149,15 @@ class Band:
             acc = t[acc][x]
         return acc
 
+    def preorder(self, rel: str) -> np.ndarray:
+        """The boolean matrix of a preorder: rel is 'L', 'R', or 'J'."""
+        if rel not in ("L", "R", "J"):
+            raise ValueError(f"unknown preorder {rel!r}; expected 'L', 'R' or 'J'")
+        return getattr(self.green, "leq_" + rel.lower())
+
     def leq(self, rel: str, a: int, b: int) -> bool:
-        """Preorder query: rel is 'L', 'R', or 'J' (a <= b in that preorder)."""
-        if rel == "L":
-            return self.green.leq_l[a][b]
-        if rel == "R":
-            return self.green.leq_r[a][b]
-        if rel == "J":
-            return self.green.leq_j[a][b]
-        raise ValueError(f"unknown preorder {rel!r}; expected 'L', 'R' or 'J'")
+        """Preorder query: a <= b in the preorder rel ('L', 'R', or 'J')."""
+        return bool(self.preorder(rel)[a, b])
 
     def height(self) -> int:
         """Number of classes in the longest <=_J chain of the semilattice S/J."""
@@ -274,10 +280,9 @@ def find_embedding(
             closed = set(elems)
 
     def class_sizes(band: Band, a: int) -> tuple[int, int, int]:
-        gl = sum(1 for b in range(band.order)
-                 if band.green.leq_l[a][b] and band.green.leq_l[b][a])
-        gr = sum(1 for b in range(band.order)
-                 if band.green.leq_r[a][b] and band.green.leq_r[b][a])
+        g = band.green
+        gl = int((g.leq_l[a] & g.leq_l[:, a]).sum())
+        gr = int((g.leq_r[a] & g.leq_r[:, a]).sum())
         gj = len(band.green.j_classes[band.green.j_class_of[a]])
         return gl, gr, gj
 

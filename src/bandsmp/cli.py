@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import band as band_mod
 from . import power, quasi, reduction, smp, words
-from .errors import BandSmpError
+from .errors import BandSmpError, parsing
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -168,32 +168,39 @@ def _verdict_code(verdict: str) -> int:
     return {"member": EXIT_TRUE, "non-member": EXIT_FALSE}.get(verdict, EXIT_ERROR)
 
 
-def _decide_worker(payload):
-    band_text, path, algo, force, cap = payload
-    band = band_mod.parse_band_text(band_text)
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _decide_entry(band, name, text, algo, force, cap):
+    """One batch line (name, verdict, error); a text of None is read from the
+    file name, so an unreadable file gets its own error line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        verdict, _, _ = _decide_one(band, text, algo, force, cap)
-        return path, verdict, None
-    except BandSmpError as exc:
-        return path, "error", f"{type(exc).__name__}: {exc}"
+        verdict, _, _ = _decide_one(band, _read(name) if text is None else text,
+                                    algo, force, cap)
+        return name, verdict, None
+    except (BandSmpError, OSError) as exc:
+        return name, "error", f"{type(exc).__name__}: {exc}"
+
+
+def _decide_worker(payload):
+    band_text, *entry = payload
+    return _decide_entry(band_mod.parse_band_text(band_text), *entry)
 
 
 def _cmd_smp(args) -> int:
     band = _resolve_band(args)
     cap = _default_cap(args)
-    sources = []
+    sources = [(path, None) for path in args.instance or []]
     if args.inline:
-        sources.append(("<inline>", args.inline.replace(";", "\n")))
-    for path in args.instance or []:
-        with open(path, "r", encoding="utf-8") as fh:
-            sources.append((path, fh.read()))
+        sources.insert(0, ("<inline>", args.inline.replace(";", "\n")))
     if not sources:
         raise BandSmpError("no instance given: use --instance FILE or --inline TEXT")
 
     if len(sources) == 1:
         name, text = sources[0]
+        text = _read(name) if text is None else text
         verdict, lines, obj = _decide_one(band, text, args.algo, args.force, cap)
         if args.json:
             print(json.dumps(obj))
@@ -205,22 +212,17 @@ def _cmd_smp(args) -> int:
         return _verdict_code(verdict)
 
     # batch mode: one verdict line per instance, order preserved
-    results = []
     jobs = min(args.jobs, len(sources), os.cpu_count() or 1)
     if jobs > 1:
         payloads = [
-            (band.to_text(), name, args.algo, args.force, cap)
-            for name, _ in sources
+            (band.to_text(), name, text, args.algo, args.force, cap)
+            for name, text in sources
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_decide_worker, payloads))
     else:
-        for name, text in sources:
-            try:
-                verdict, _, _ = _decide_one(band, text, args.algo, args.force, cap)
-                results.append((name, verdict, None))
-            except BandSmpError as exc:
-                results.append((name, "error", f"{type(exc).__name__}: {exc}"))
+        results = [_decide_entry(band, name, text, args.algo, args.force, cap)
+                   for name, text in sources]
     if args.json:
         print(json.dumps({
             "results": [
@@ -251,7 +253,8 @@ def _cmd_words(args) -> int:
     elif action == "pbound":
         print(words.length_bound_p(args.n, args.k))
     elif action == "ghi":
-        family, n = args.name[0], int(args.name[1:])
+        with parsing(f"word name {args.name!r}, expected e.g. G3"):
+            family, n = args.name[:1], int(args.name[1:])
         print(words.word_to_text(words.ghi_word(family, n)))
     elif action == "eval":
         band = _resolve_band(args)
@@ -276,8 +279,7 @@ def _cmd_words(args) -> int:
 
 def _cmd_reduce(args) -> int:
     band = _resolve_band(args)
-    with open(args.cnf, "r", encoding="utf-8") as fh:
-        sat = reduction.parse_dimacs(fh.read())
+    sat = reduction.parse_dimacs(_read(args.cnf))
 
     classification = quasi.classify(band)
     if classification.lambda_witness is not None:
@@ -426,11 +428,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BandSmpError as exc:
+    except (BandSmpError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -62,6 +62,10 @@ class GenSet:
             n = len(members[0])
         return cls(band=band, n=n, members=members)
 
+    def array(self) -> np.ndarray:
+        """The generators as the rows of a (k, n) intp array."""
+        return np.array(self.members, dtype=np.intp).reshape(len(self), self.n)
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -106,24 +110,20 @@ def prod_tuples(band: Band, tuples: Sequence[ElementTuple]) -> ElementTuple:
     return acc
 
 
-def leq_cw(mat: Sequence[Sequence[bool]], a: ElementTuple, b: ElementTuple) -> bool:
-    """a <= b componentwise under the preorder with boolean table mat."""
-    return all(mat[x][y] for x, y in zip(a, b))
+def leq_cw(mat: np.ndarray, a, b) -> np.ndarray:
+    """a <= b componentwise under the preorder with boolean (m, m) array mat.
+
+    a and b are n-tuples or intp index arrays; either may be a stack of
+    rows, and the answer has one boolean per row (0-d for two tuples).
+    """
+    return mat[a, b].all(-1)
 
 
 def preorder_cw(band: Band, rel: str, a: ElementTuple, b: ElementTuple) -> bool:
     """Componentwise preorder; equals the preorder in the band S^n."""
     if len(a) != len(b):
         raise ArityMismatch(f"arities {len(a)} and {len(b)} differ")
-    if rel == "L":
-        mat = band.green.leq_l
-    elif rel == "R":
-        mat = band.green.leq_r
-    elif rel == "J":
-        mat = band.green.leq_j
-    else:
-        raise ValueError(f"unknown preorder {rel!r}")
-    return leq_cw(mat, a, b)
+    return bool(leq_cw(band.preorder(rel), a, b))
 
 
 #: bytes of product rows formed in one step; bounds the BFS's scratch memory

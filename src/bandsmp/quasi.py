@@ -68,7 +68,7 @@ def find_lambda_witness(
             f"order {m} exceeds the O(m^5) scan bound of {max_order}"
         )
     t = band.table
-    leq_j = band.green.leq_j
+    leq_j = band.green.leq_j.tolist()  # Python bools: scalar lookups in the loop
     for d in range(m):
         td = t[d]
         for e in range(m):

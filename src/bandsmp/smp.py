@@ -6,6 +6,11 @@ top-level decision: b is a member iff both a suffix and, on the dual
 band, a "prefix" exist. Completeness of the first two needs the band to
 pass the quasiidentity scan; returned solutions are always re-verified,
 so even forced runs on failing bands never return a wrong "member".
+
+The solvers work on arrays: the generators are one (k, n) intp array, and
+each step indexes the band's intp table and boolean preorder matrices over
+every generator and coordinate at once. Each choice is still the first in
+generator order, so the steps are those of the coordinate-by-coordinate rule.
 """
 
 from __future__ import annotations
@@ -13,8 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .band import Band
 from .errors import (
+    ArityMismatch,
     EmptyWord,
     IndexOutOfRange,
     LambdaNotSatisfied,
@@ -22,13 +30,13 @@ from .errors import (
     PreconditionViolated,
 )
 from .power import (
+    _BLOCK_BYTES,
     DEFAULT_CAP,
     ElementTuple,
     GenSet,
     SmpInstance,
     leq_cw,
     member_closure_word,
-    mul_tuple,
     prod_tuples,
 )
 from .quasi import classify
@@ -74,9 +82,8 @@ class CpInfixInstance:
             raise PreconditionViolated("c J d componentwise")
         if not leq_cw(leq_j, self.d, self.e):
             raise PreconditionViolated("d <=_J e componentwise")
-        for a in self.gens:
-            if not leq_cw(leq_j, self.e, a):
-                raise PreconditionViolated("e <=_J a componentwise for every a in A")
+        if not leq_cw(leq_j, self.e, self.gens.array()).all():
+            raise PreconditionViolated("e <=_J a componentwise for every a in A")
 
     @property
     def band(self) -> Band:
@@ -92,6 +99,14 @@ def _require_lambda(band: Band, force: bool) -> None:
         )
 
 
+def _row(t: ElementTuple) -> np.ndarray:
+    return np.array(t, dtype=np.intp)
+
+
+def _tuple(row: Optional[np.ndarray]) -> Optional[ElementTuple]:
+    return None if row is None else tuple(row.tolist())
+
+
 def cp_infix(
     inst: CpInfixInstance,
     force: bool = False,
@@ -104,71 +119,50 @@ def cp_infix(
     sound unconditionally.
     """
     _require_lambda(inst.band, force)
-    return _cp_infix_core(inst.band, inst.gens.members, inst.c, inst.d, inst.e, stats)
+    c, d, e = map(_row, (inst.c, inst.d, inst.e))
+    return _tuple(_cp_infix_core(inst.band, inst.gens.array(), c, d, e, stats))
 
 
 def _cp_infix_core(
     band: Band,
-    A: tuple[ElementTuple, ...],
-    c: ElementTuple,
-    d: ElementTuple,
-    e: ElementTuple,
+    A: np.ndarray,
+    c: np.ndarray,
+    d: np.ndarray,
+    e: np.ndarray,
     stats: Optional[LoopStats],
-) -> Optional[ElementTuple]:
-    """The infix search on raw tuples; callers guarantee the preconditions
-    that CpInfixInstance checks."""
-    t = band.table
+) -> Optional[np.ndarray]:
+    """The infix search over a (k, n) generator array and intp n-vectors;
+    callers guarantee the preconditions that CpInfixInstance checks."""
+    t = band.itable
     leq_j = band.green.leq_j
-    n = len(c)
-    m = band.order
-    bound = n * (band.height() - 1)
+    bound = len(c) * (band.height() - 1)
+    above_e, c_col, e_col = leq_j[e], c[:, None], e[:, None]
 
     for a0 in A:
-        # componentwise search for s with s >=_J e and d a0 s e = c
-        da0 = mul_tuple(band, d, a0)
-        s_coords: list[int] = []
-        for i in range(n):
-            row = t[da0[i]]
-            ei, ci = e[i], c[i]
-            for cand in range(m):
-                if leq_j[ei][cand] and t[row[cand]][ei] == ci:
-                    s_coords.append(cand)
-                    break
-            else:
-                break
-        if len(s_coords) < n:
+        # s >=_J e with d a0 s e = c: fits[i, v] says v will do as s_i, and
+        # s_i is the least such v
+        fits = above_e & (t[t[t[d, a0]], e_col] == c_col)
+        if not fits.any(1).all():
             continue
-        s = mul_tuple(band, a0, tuple(s_coords))
+        s = t[a0, fits.argmax(1)]
         y = a0
         body_count = 0
         while True:
-            dy = mul_tuple(band, d, y)
-            for a1 in A:
-                if leq_cw(leq_j, y, a1) and \
-                        mul_tuple(band, mul_tuple(band, dy, a1), e) == c:
-                    if stats is not None:
-                        stats.record_infix_pass(body_count)
-                    result = mul_tuple(band, y, a1)
-                    if mul_tuple(band, mul_tuple(band, d, result), e) != c:
-                        raise AssertionError("infix solver returned an unverified solution")
-                    return result
-            pair = None
-            for a2 in A:
-                if not leq_cw(leq_j, y, a2):
-                    continue
-                dya2 = mul_tuple(band, dy, a2)
-                for a3 in A:
-                    if leq_cw(leq_j, y, a3):
-                        continue
-                    prod = mul_tuple(band, mul_tuple(band, mul_tuple(band, dya2, a3), s), e)
-                    if prod == c:
-                        pair = (a2, a3)
-                        break
-                if pair is not None:
-                    break
+            dy = t[d, y]
+            above = leq_cw(leq_j, y, A)
+            hits = above & (t[t[dy, A], e] == c).all(1)
+            first = hits.argmax()
+            if hits[first]:
+                if stats is not None:
+                    stats.record_infix_pass(body_count)
+                result = t[y, A[first]]
+                if (t[t[d, result], e] != c).any():
+                    raise AssertionError("infix solver returned an unverified solution")
+                return result
+            pair = _first_pair(t, dy, A[above], A[~above], s, c, e)
             if pair is None:
                 break  # abandon this a0, resume the outer loop
-            y = mul_tuple(band, mul_tuple(band, y, pair[0]), pair[1])
+            y = t[t[y, pair[0]], pair[1]]
             body_count += 1
             if body_count > bound:
                 raise AssertionError(
@@ -176,6 +170,23 @@ def _cp_infix_core(
                 )
         if stats is not None:
             stats.record_infix_pass(body_count)
+    return None
+
+
+def _first_pair(t, dy, A2, A3, s, c, e) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The first (a2, a3) in A2 x A3, in row-major order, with d y a2 a3 s e = c.
+
+    Blocks of A2's rows are multiplied by all of A3 at once, at most
+    _BLOCK_BYTES of products per block.
+    """
+    q, n = A3.shape
+    step = max(1, _BLOCK_BYTES // max(1, q * n * t.itemsize))
+    for lo in range(0, len(A2), step):
+        block = t[t[dy, A2[lo:lo + step]][:, None, :], A3]
+        match = (t[t[block, s], e] == c).all(2)
+        if match.any():
+            i, j = divmod(int(match.argmax()), q)
+            return A2[lo + i], A3[j]
     return None
 
 
@@ -191,46 +202,47 @@ def cp_suffix(
     generators lying J-above the current x.
     """
     _require_lambda(gens.band, force)
-    return _cp_suffix_core(gens.band, gens.members, b, stats)
+    if len(b) != gens.n:
+        raise ArityMismatch(f"target arity {len(b)} != generator arity {gens.n}")
+    return _tuple(_cp_suffix_core(gens.band, gens.array(), _row(b), stats))
 
 
 def _cp_suffix_core(
     band: Band,
-    A: tuple[ElementTuple, ...],
-    b: ElementTuple,
+    A: np.ndarray,
+    b: np.ndarray,
     stats: Optional[LoopStats],
-) -> Optional[ElementTuple]:
-    """The suffix loop on raw tuples.
+) -> Optional[np.ndarray]:
+    """The suffix loop over a (k, n) generator array and an intp n-vector.
 
     Every step keeps b x = b: the infix solution gives (b a) y x = b.
     Hence b a J b and b a <=_J x, and x <=_J a' for every a' in A_x, so
     each infix instance meets its preconditions without a check.
     """
+    t = band.itable
     leq_l = band.green.leq_l
     leq_j = band.green.leq_j
     bound = len(b) * (band.height() - 1)
 
-    for x in A:
-        if mul_tuple(band, b, x) == b:
-            break
-    else:
+    fixes = (t[b, A] == b).all(1)
+    if not fixes.any():
         return None
+    x = A[fixes.argmax()]
 
-    above_b = tuple(a for a in A if leq_cw(leq_j, b, a))
+    above_b = leq_cw(leq_j, b, A)
     iterations = 0
     while not (leq_cw(leq_l, x, b) and leq_cw(leq_l, b, x)):
-        a_x = tuple(ap for ap in A if leq_cw(leq_j, x, ap))
-        for a in above_b:
-            if leq_cw(leq_j, x, a):
-                continue
-            y = _cp_infix_core(band, a_x, b, mul_tuple(band, b, a), x, stats)
+        above_x = leq_cw(leq_j, x, A)
+        a_x = A[above_x]
+        for a in A[above_b & ~above_x]:
+            y = _cp_infix_core(band, a_x, b, t[b, a], x, stats)
             if y is not None:
                 break
         else:
             if stats is not None:
                 stats.record_suffix_call(iterations)
             return None
-        x = mul_tuple(band, mul_tuple(band, a, y), x)
+        x = t[t[a, y], x]
         iterations += 1
         if iterations > bound:
             raise AssertionError(
@@ -238,7 +250,7 @@ def _cp_suffix_core(
             )
     if stats is not None:
         stats.record_suffix_call(iterations)
-    if mul_tuple(band, b, x) != b:
+    if (t[b, x] != b).any():
         raise AssertionError("suffix solver returned an unverified solution")
     return x
 
@@ -260,16 +272,17 @@ def smp_decide_poly(
         )
     if stats is not None:
         stats.bound = inst.gens.n * (band.height() - 1)
-    x = _cp_suffix_core(band, inst.gens.members, inst.target, stats)
+    A, b = inst.gens.array(), _row(inst.target)
+    x = _cp_suffix_core(band, A, b, stats)
     if x is None:
         return False
-    y = _cp_suffix_core(band.dual(), inst.gens.members, inst.target, stats)
+    y = _cp_suffix_core(band.dual(), A, b, stats)
     if y is None:
         return False
-    if mul_tuple(band, y, x) != inst.target:
+    if (band.itable[y, x] != b).any():
         raise AssertionError("x L b and y R b should force b = y x")
     if stats is not None:
-        stats.witness_pair = (x, y)
+        stats.witness_pair = (_tuple(x), _tuple(y))
     return True
 
 

@@ -16,6 +16,29 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    """Replace the worker pool by one that records max_workers and maps in
+    this process, so a --jobs test starts no process; returns the records."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return seen
+
+
 class TestClassify:
     def test_s10_tractable(self, capsys):
         code, out, _ = run(capsys, "classify", "--catalog", "S10")
@@ -201,24 +224,9 @@ class TestSmp:
         (64, 1, []),    # one CPU: decided in this process
         (64, None, []),  # CPU count unknown: likewise
     ])
-    def test_jobs_clamped(self, capsys, tmp_path, monkeypatch, jobs, cpus, workers):
-        # a stand-in pool records max_workers and maps in this process
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_jobs_clamped(self, capsys, tmp_path, monkeypatch, stand_in_pool,
+                          jobs, cpus, workers):
+        seen = stand_in_pool
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         files = []
         for i, text in enumerate(["1 2; 2; 3; 4", "1 1; 3; 4", "1 1; 2; 2"]):
@@ -259,6 +267,36 @@ class TestMalformedInput:
         path.write_text(text)
         code, _, err = run(capsys, "validate", "--band", str(path))
         self.assert_one_line_error(code, err, "ParseError")
+
+    @pytest.mark.parametrize("name, kind", [
+        ("Q", "ParseError"), ("G", "ParseError"), ("", "ParseError"),
+        ("Gx", "ParseError"), ("X3", "UnsupportedIndex"), ("G9", "UnsupportedIndex"),
+    ])
+    def test_ghi_word_name(self, capsys, name, kind):
+        code, out, err = run(capsys, "words", "ghi", name)
+        assert out == ""
+        self.assert_one_line_error(code, err, kind)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unreadable_file_does_not_stop_a_batch(self, capsys, tmp_path, monkeypatch,
+                                                   stand_in_pool, jobs):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        ok = tmp_path / "ok.smp"
+        ok.write_text("1 2\n2\n3\n4\n")
+        missing = str(tmp_path / "nonexistent.smp")
+        argv = ["smp", "--catalog", "S10", "--instance", str(ok), missing, str(tmp_path)]
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert stand_in_pool == ([2] if jobs == "2" else [])
+        lines = out.splitlines()
+        assert lines[0] == f"{ok}\tmember"
+        assert lines[1].startswith(f"{missing}\terror (FileNotFoundError: ")
+        assert lines[2].startswith(f"{tmp_path}\terror (IsADirectoryError: ")
+        assert len(lines) == 3 and code == 2 and err == ""
+        assert run(capsys, *argv) == (code, out, err)  # serial output is the same
+
+    def test_unreadable_single_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "smp", "--catalog", "S10", "--instance", str(tmp_path))
+        self.assert_one_line_error(code, err, "IsADirectoryError")
 
     def test_non_integer_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("BANDSMP_CAP", "abc")

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from bandsmp import (
@@ -12,6 +13,7 @@ from bandsmp import (
     LoopStats,
     SmpInstance,
     catalog,
+    chain_semilattice,
     classify,
     closure,
     cp_infix,
@@ -177,9 +179,12 @@ class TestSuffixInvariant:
         calls = 0
 
         def checked(band, A, c, d, e, stats):
+            # the core takes a (k, n) generator array and index vectors
             nonlocal calls
             calls += 1
-            CpInfixInstance(c=c, d=d, e=e, gens=GenSet(band=band, n=len(c), members=A))
+            members = tuple(tuple(row) for row in A.tolist())
+            CpInfixInstance(c=tuple(c.tolist()), d=tuple(d.tolist()), e=tuple(e.tolist()),
+                            gens=GenSet(band=band, n=len(c), members=members))
             return core(band, A, c, d, e, stats)
 
         monkeypatch.setattr(smp, "_cp_infix_core", checked)
@@ -201,6 +206,210 @@ class TestSuffixInvariant:
                     assert x is not None  # targets are products of generators
         assert calls > 100
         assert stats.suffix_call_max >= 3  # steps after x has moved are covered
+
+
+# -- the per-coordinate solvers, kept as the referee of the array-backed ones ---
+
+def _ref_leq(mat, a, b):
+    return all(mat[x][y] for x, y in zip(a, b))
+
+
+def _ref_infix_core(band, A, c, d, e, stats):
+    t = band.table
+    leq_j = band.green.leq_j.tolist()
+    n = len(c)
+    m = band.order
+    bound = n * (band.height() - 1)
+
+    for a0 in A:
+        da0 = mul_tuple(band, d, a0)
+        s_coords = []
+        for i in range(n):
+            row = t[da0[i]]
+            ei, ci = e[i], c[i]
+            for cand in range(m):
+                if leq_j[ei][cand] and t[row[cand]][ei] == ci:
+                    s_coords.append(cand)
+                    break
+            else:
+                break
+        if len(s_coords) < n:
+            continue
+        s = mul_tuple(band, a0, tuple(s_coords))
+        y = a0
+        body_count = 0
+        while True:
+            dy = mul_tuple(band, d, y)
+            for a1 in A:
+                if _ref_leq(leq_j, y, a1) and \
+                        mul_tuple(band, mul_tuple(band, dy, a1), e) == c:
+                    if stats is not None:
+                        stats.record_infix_pass(body_count)
+                    result = mul_tuple(band, y, a1)
+                    if mul_tuple(band, mul_tuple(band, d, result), e) != c:
+                        raise AssertionError("infix solver returned an unverified solution")
+                    return result
+            above = [a for a in A if _ref_leq(leq_j, y, a)]
+            below = [a for a in A if not _ref_leq(leq_j, y, a)]
+            pair = _ref_first_pair(band, dy, above, below, s, c, e)
+            if pair is None:
+                break
+            y = mul_tuple(band, mul_tuple(band, y, pair[0]), pair[1])
+            body_count += 1
+            if body_count > bound:
+                raise AssertionError(
+                    f"infix inner loop exceeded the n(h-1) bound of {bound}"
+                )
+        if stats is not None:
+            stats.record_infix_pass(body_count)
+    return None
+
+
+def _ref_first_pair(band, dy, A2, A3, s, c, e):
+    for a2 in A2:
+        dya2 = mul_tuple(band, dy, a2)
+        for a3 in A3:
+            prod = mul_tuple(band, mul_tuple(band, mul_tuple(band, dya2, a3), s), e)
+            if prod == c:
+                return a2, a3
+    return None
+
+
+def _ref_suffix_core(band, A, b, stats):
+    leq_l = band.green.leq_l.tolist()
+    leq_j = band.green.leq_j.tolist()
+    bound = len(b) * (band.height() - 1)
+
+    for x in A:
+        if mul_tuple(band, b, x) == b:
+            break
+    else:
+        return None
+
+    above_b = tuple(a for a in A if _ref_leq(leq_j, b, a))
+    iterations = 0
+    while not (_ref_leq(leq_l, x, b) and _ref_leq(leq_l, b, x)):
+        a_x = tuple(ap for ap in A if _ref_leq(leq_j, x, ap))
+        for a in above_b:
+            if _ref_leq(leq_j, x, a):
+                continue
+            y = _ref_infix_core(band, a_x, b, mul_tuple(band, b, a), x, stats)
+            if y is not None:
+                break
+        else:
+            if stats is not None:
+                stats.record_suffix_call(iterations)
+            return None
+        x = mul_tuple(band, mul_tuple(band, a, y), x)
+        iterations += 1
+        if iterations > bound:
+            raise AssertionError(
+                f"suffix while loop exceeded the n(h-1) bound of {bound}"
+            )
+    if stats is not None:
+        stats.record_suffix_call(iterations)
+    if mul_tuple(band, b, x) != b:
+        raise AssertionError("suffix solver returned an unverified solution")
+    return x
+
+
+def staircase(m, n, member):
+    """Generators over SL-chain(m): the top tuple, then one generator per
+    one-level step of each coordinate down to the all-zero target. The
+    suffix solver takes one step per generator, n(m-1) in all, which is its
+    bound; a non-member lacks the last step of coordinate 0."""
+    top = m - 1
+    steps = [(i, j) for j in range(top - 1, -1, -1) for i in range(n)]
+    if not member:
+        steps.remove((0, 0))
+    gens = [(top,) * n] + [tuple(j if c == i else top for c in range(n)) for i, j in steps]
+    return gens, (0,) * n
+
+
+class TestArraySolversAgainstReferee:
+    """The array-backed suffix and infix cores take the same steps as the
+    per-coordinate ones: the same x or None, the same loop counters, and
+    the same AssertionError on the n(h-1) bound or on re-verification.
+    The cores skip the scan gate, so on S9, T9, T13a, T13b and T17 these
+    are forced runs."""
+
+    @staticmethod
+    def run_both(band, gens, target):
+        outcomes = []
+        arrays = (GenSet.of(band, gens, n=len(target)).array(),
+                  np.array(target, dtype=np.intp))
+        for core, args in ((smp._cp_suffix_core, arrays), (_ref_suffix_core, (gens, target))):
+            stats = LoopStats()
+            try:
+                x = core(band, *args, stats)
+                x = None if x is None else tuple(int(v) for v in x)
+            except AssertionError as exc:
+                x = f"AssertionError: {exc}"
+            outcomes.append((x, stats.suffix_call_max, stats.infix_pass_max))
+        assert outcomes[0] == outcomes[1], (band.name, gens, target)
+        return outcomes[0]
+
+    def test_seeded_instances_on_the_catalog(self):
+        rng = random.Random(12)
+        infix_max = suffix_max = 0
+        for name in CATALOG_EXAMPLES:
+            for band in (catalog(name), catalog(name).dual()):
+                for _ in range(60):
+                    n = rng.randint(0, 8)
+                    k = min(rng.randint(1, 9), band.order ** n)
+                    gens = set()
+                    while len(gens) < k:
+                        gens.add(tuple(rng.randrange(band.order) for _ in range(n)))
+                    gens = sorted(gens)
+                    if rng.random() < 0.6:
+                        target = gens[rng.randrange(k)]
+                        for _ in range(rng.randint(0, 6)):
+                            target = mul_tuple(band, target, gens[rng.randrange(k)])
+                    else:
+                        target = tuple(rng.randrange(band.order) for _ in range(n))
+                    _, suffix, infix = self.run_both(band, gens, target)
+                    suffix_max, infix_max = max(suffix_max, suffix), max(infix_max, infix)
+        assert suffix_max >= 3
+        assert infix_max >= 1  # the pair search has run
+
+    @pytest.mark.parametrize("block_bytes", [smp._BLOCK_BYTES, 1, 200])
+    def test_pair_search_takes_the_first_pair_in_row_major_order(self, monkeypatch,
+                                                                   block_bytes):
+        # random instances seldom have two matching pairs, so the pair search
+        # is checked on its own, with one planted match and usually more
+        monkeypatch.setattr(smp, "_BLOCK_BYTES", block_bytes)
+        rng = random.Random(13)
+        found = 0
+        for name in ("S9", "S10", "T13a", "Rect(2,3)", "SL-chain(3)"):
+            band = catalog(name)
+            for _ in range(60):
+                n = rng.randint(1, 4)
+                rand = lambda: tuple(rng.randrange(band.order) for _ in range(n))
+                rows = lambda ts: np.array(ts, dtype=np.intp).reshape(len(ts), n)
+                dy, s, e, c = rand(), rand(), rand(), rand()
+                A2 = [rand() for _ in range(rng.randint(0, 6))]
+                A3 = [rand() for _ in range(rng.randint(0, 6))]
+                if A2 and A3 and rng.random() < 0.8:
+                    a2, a3 = rng.choice(A2), rng.choice(A3)
+                    c = mul_tuple(band, mul_tuple(band, mul_tuple(
+                        band, mul_tuple(band, dy, a2), a3), s), e)
+                want = _ref_first_pair(band, dy, A2, A3, s, c, e)
+                dy, s, e, c = rows([dy, s, e, c])
+                got = smp._first_pair(band.itable, dy, rows(A2), rows(A3), s, c, e)
+                if got is not None:
+                    got = tuple(tuple(r.tolist()) for r in got)
+                    found += 1
+                assert got == want
+        assert found > 100
+
+    @pytest.mark.parametrize("m,n", [(2, 9), (3, 7), (4, 5), (6, 3)])
+    def test_staircases_reach_the_bound(self, m, n):
+        band = chain_semilattice(m)
+        for member in (True, False):
+            gens, target = staircase(m, n, member)
+            x, suffix, _ = self.run_both(band, gens, target)
+            assert (x == target) == member
+            assert suffix == n * (m - 1) - (0 if member else 1)
 
 
 class TestSmpDecide:
