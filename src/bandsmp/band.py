@@ -252,10 +252,12 @@ def find_embedding(
 ) -> Optional[tuple[int, ...]]:
     """Search for an injective homomorphism small -> big.
 
-    Returns the image tuple (indexed by small's elements) or None.
-    Candidate images are pruned by J/L/R-class size compatibility and by
-    pairwise preorder agreement with already-chosen generator images,
-    then verified by extending to the generated subsemigroup.
+    Returns the image tuple (indexed by small's elements) or None. The least
+    element not yet mapped gets an image, and the partial map is closed under
+    products, so the mapped elements are always the subsemigroup generated by
+    the elements given images so far. An image must have L-, R- and J-classes
+    at least as large as its element's and agree in all three preorders with
+    the images already set. Images are tried in ascending order.
     """
     if small.order > size_bound:
         raise SizeBoundExceeded(
@@ -263,94 +265,56 @@ def find_embedding(
         )
     if small.order > big.order:
         return None
+    st, bt = small.table, big.table
 
-    # a generating sequence, each element outside the closure of those before
-    # it, with the closure of every prefix; the BFS links define each
-    # non-generator element as a product (parent, generator)
-    gens: list[int] = []
-    levels = []
-    closed: set[int] = set()
-    for a in range(small.order):
-        if a not in closed:
-            gens.append(a)
-            found = _bfs(small, [(g,) for g in gens], 1, small.order, None)
-            elems = found.rows(1)[:, 0].tolist()
-            parent, gen = found.links()
-            levels.append((elems, parent.tolist(), gen.tolist()))
-            closed = set(elems)
+    def profile(band: Band) -> tuple[np.ndarray, np.ndarray]:
+        """u <= v and v <= u in L, R and J as six bits per pair (u, v), and
+        the sizes of the L-, R- and J-class of each element."""
+        rels = (band.green.leq_l, band.green.leq_r, band.green.leq_j)
+        bits = rels + tuple(r.T for r in rels)
+        code = sum(r.astype(np.uint8) << i for i, r in enumerate(bits))
+        return code, np.stack([(r & r.T).sum(1) for r in rels])
 
-    def class_sizes(band: Band, a: int) -> tuple[int, int, int]:
-        g = band.green
-        gl = int((g.leq_l[a] & g.leq_l[:, a]).sum())
-        gr = int((g.leq_r[a] & g.leq_r[:, a]).sum())
-        gj = len(band.green.j_classes[band.green.j_class_of[a]])
-        return gl, gr, gj
+    (code_s, sizes_s), (code_b, sizes_b) = profile(small), profile(big)
+    # an injective homomorphism maps each L-, R- and J-class into one
+    fits = (sizes_s[:, :, None] <= sizes_b[:, None, :]).all(0)
 
-    small_sizes = {g: class_sizes(small, g) for g in gens}
-    big_sizes = [class_sizes(big, c) for c in range(big.order)]
-
-    images: dict[int, int] = {}
-
-    def extend(level: int) -> Optional[dict[int, int]]:
-        """Compute images for the level closure, or None on conflict."""
-        elems, parent, gen = levels[level]
-        img = dict(images)
-        for j, a in enumerate(elems):
-            if a in img:
-                continue
-            img[a] = big.table[img[elems[parent[j]]]][img[gens[gen[j]]]]
-        # homomorphism and injectivity over the partial subsemigroup
-        if len(set(img[a] for a in elems)) != len(elems):
-            return None
-        for u in elems:
-            gu = img[u]
-            for v in elems:
-                w = small.table[u][v]
-                if big.table[gu][img[v]] != img[w]:
-                    return None
+    def close(img: dict[int, int], a: int, c: int) -> Optional[dict[int, int]]:
+        """img with a -> c, closed under products, or None on a conflict."""
+        img = {**img, a: c}
+        used = set(img.values())
+        todo = [a]
+        while todo:
+            x = todo.pop()
+            ix = img[x]
+            for y, iy in list(img.items()):
+                for p, ip in ((st[x][y], bt[ix][iy]), (st[y][x], bt[iy][ix])):
+                    if p in img:
+                        if img[p] != ip:
+                            return None
+                    elif ip in used:
+                        return None
+                    else:
+                        img[p] = ip
+                        used.add(ip)
+                        todo.append(p)
         return img
 
-    def search(t: int) -> Optional[dict[int, int]]:
-        nonlocal images
-        if t == len(gens):
-            return dict(images)
-        g = gens[t]
-        sl, sr, sj = small_sizes[g]
-        used = set(images.values())
-        for c in range(big.order):
-            if c in used:
-                continue
-            bl, br, bj = big_sizes[c]
-            if bl < sl or br < sr or bj < sj:
-                continue
-            ok = True
-            for gp in gens[:t]:
-                ip = images[gp]
-                for rel in ("L", "R", "J"):
-                    if small.leq(rel, g, gp) != big.leq(rel, c, ip) or \
-                       small.leq(rel, gp, g) != big.leq(rel, ip, c):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            images[g] = c
-            partial = extend(t)
-            if partial is not None:
-                saved = images
-                images = {k: partial[k] for k in partial}
-                result = search(t + 1)
-                images = saved
-                if result is not None:
-                    return result
-            del images[g]
+    def search(img: dict[int, int]) -> Optional[tuple[int, ...]]:
+        a = next((x for x in range(small.order) if x not in img), None)
+        if a is None:
+            return tuple(img[x] for x in range(small.order))
+        xs, ys = list(img), list(img.values())
+        ok = fits[a] & (code_b[:, ys] == code_s[a, xs]).all(1)
+        ok[ys] = False
+        for c in np.flatnonzero(ok).tolist():
+            closed = close(img, a, c)
+            found = None if closed is None else search(closed)
+            if found is not None:
+                return found
         return None
 
-    found = search(0)
-    if found is None:
-        return None
-    return tuple(found[a] for a in range(small.order))
+    return search({})
 
 
 # -- catalog -------------------------------------------------------------------

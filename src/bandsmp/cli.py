@@ -11,12 +11,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Optional
 
 from . import band as band_mod
 from . import power, quasi, reduction, smp, words
-from .errors import BandSmpError, parsing
+from .errors import BandSmpError, OutOfRange, parsing
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -173,20 +173,27 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _decide_entry(band, name, text, algo, force, cap):
-    """One batch line (name, verdict, error); a text of None is read from the
-    file name, so an unreadable file gets its own error line."""
+#: the band of a batch worker process, set once by the pool's initializer
+_worker_band: Optional[band_mod.Band] = None
+
+
+def _set_worker_band(band: band_mod.Band) -> None:
+    global _worker_band
+    _worker_band = band
+
+
+def _decide_entry(source, algo, force, cap, band=None):
+    """One batch line (name, verdict, error) for a (name, text) source over
+    band, by default the worker's; a text of None is read from the file
+    name, so an unreadable file gets its own error line."""
+    name, text = source
     try:
-        verdict, _, _ = _decide_one(band, _read(name) if text is None else text,
+        verdict, _, _ = _decide_one(band or _worker_band,
+                                    _read(name) if text is None else text,
                                     algo, force, cap)
         return name, verdict, None
     except (BandSmpError, OSError) as exc:
         return name, "error", f"{type(exc).__name__}: {exc}"
-
-
-def _decide_worker(payload):
-    band_text, *entry = payload
-    return _decide_entry(band_mod.parse_band_text(band_text), *entry)
 
 
 def _cmd_smp(args) -> int:
@@ -213,16 +220,15 @@ def _cmd_smp(args) -> int:
 
     # batch mode: one verdict line per instance, order preserved
     jobs = min(args.jobs, len(sources), os.cpu_count() or 1)
+    decide = partial(_decide_entry, algo=args.algo, force=args.force, cap=cap)
     if jobs > 1:
-        payloads = [
-            (band.to_text(), name, text, args.algo, args.force, cap)
-            for name, text in sources
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_decide_worker, payloads))
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(jobs, initializer=_set_worker_band,
+                                 initargs=(band,)) as pool:
+            results = list(pool.map(decide, sources))
     else:
-        results = [_decide_entry(band, name, text, args.algo, args.force, cap)
-                   for name, text in sources]
+        results = [decide(source, band=band) for source in sources]
     if args.json:
         print(json.dumps({
             "results": [
@@ -259,7 +265,11 @@ def _cmd_words(args) -> int:
     elif action == "eval":
         band = _resolve_band(args)
         w = words.word_from_text(args.word)
-        assign = [int(v) - 1 for v in args.assign.split()]
+        with parsing("--assign"):
+            assign = [int(v) - 1 for v in args.assign.split()]
+        for v in assign:
+            if not 0 <= v < band.order:
+                raise OutOfRange(f"--assign value {v + 1} outside 1..{band.order}")
         print(words.eval_word(band, w, assign) + 1)
     elif action == "identity":
         band = _resolve_band(args)

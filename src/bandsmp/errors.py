@@ -46,13 +46,14 @@ class ParseError(BandSmpError):
 
 @contextmanager
 def parsing(what: str):
-    """Re-raise malformed-text failures (bad integers, missing JSON keys,
-    truncated JSON) inside the block as a one-line ParseError."""
+    """Re-raise malformed-text failures (bad integers, numbers too large for
+    an int such as 1e400, missing JSON keys, truncated JSON) inside the
+    block as a one-line ParseError."""
     try:
         yield
     except KeyError as exc:
         raise ParseError(f"{what}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"{what}: {exc}") from None
 
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, CapExceeded, OutOfRange, parsing
+from .errors import ArityMismatch, CapExceeded, OutOfRange, ParseError, parsing
 
 if TYPE_CHECKING:
     from .band import Band
@@ -322,14 +322,14 @@ def parse_instance(text: str, band: Band) -> SmpInstance:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
-        raise ArityMismatch("empty instance file")
+        raise ParseError("empty instance file")
     head = lines[0].split()
     if len(head) != 2:
-        raise ArityMismatch("instance header must be 'n k'")
+        raise ParseError("instance header must be 'n k'")
     with parsing("instance"):
         n, k = int(head[0]), int(head[1])
         if len(lines) != k + 2:
-            raise ArityMismatch(
+            raise ParseError(
                 f"instance declares {k} generators but file has {len(lines) - 2}"
             )
         rows = [tuple(int(v) - 1 for v in ln.split()) for ln in lines[1:]]

@@ -13,7 +13,8 @@ from itertools import product
 from typing import Sequence, Union
 
 from .band import Band
-from .errors import ArityTooLarge, EmptyWord, UnboundVariable, UnsupportedIndex
+from .errors import (ArityTooLarge, EmptyWord, ParseError, UnboundVariable,
+                     UnsupportedIndex, parsing)
 
 Word = tuple[int, ...]
 
@@ -25,8 +26,12 @@ def word(*letters: int) -> Word:
 
 
 def word_from_text(text: str) -> Word:
-    """Parse the CLI word syntax: space-separated variable indices."""
-    return tuple(int(v) for v in text.split())
+    """Parse the CLI word syntax: space-separated variable indices from 1."""
+    with parsing(f"word {text!r}"):
+        w = tuple(int(v) for v in text.split())
+    if any(v < 1 for v in w):
+        raise ParseError(f"word {text!r}: variable indices start at 1")
+    return w
 
 
 def word_to_text(w: Word) -> str:
@@ -166,6 +171,8 @@ def satisfies_identity(
             f"{m}^{len(variables)} assignments exceed the budget of {budget}"
         )
     width = max(variables)
+    if width > budget:  # the assignment list holds x1..x_width
+        raise ArityTooLarge(f"variable x{width} exceeds the budget of {budget}")
     assignment = [0] * width
     for values in product(range(m), repeat=len(variables)):
         for var, val in zip(variables, values):

@@ -211,12 +211,23 @@ class TestEmbedding:
         with pytest.raises(SizeBoundExceeded):
             find_embedding(s9, s9, size_bound=5)
 
-    @pytest.mark.parametrize("small_name", ["LZ(2)", "RZ(2)", "SL-chain(2)", "Rect(2,2)"])
-    @pytest.mark.parametrize("big_name", ["LZ(3)", "RZ(3)", "SL-chain(3)", "Rect(2,3)"])
+    # at most 12!/8! = 11,880 injective maps per pair for the exhaustive referee
+    @pytest.mark.parametrize("small_name", [
+        "LZ(2)", "RZ(2)", "SL-chain(2)", "SL-chain(3)", "Rect(2,2)",
+    ])
+    @pytest.mark.parametrize("big_name", [
+        "LZ(3)", "RZ(3)", "SL-chain(3)", "Rect(2,3)", "S9", "S10", "T9", "Rect(3,4)",
+    ])
     def test_matches_exhaustive_search_on_tiny_bands(self, small_name, big_name):
         small, big = catalog(small_name), catalog(big_name)
         expected = oracles.naive_embedding_exists(small.table, big.table)
-        assert (find_embedding(small, big) is not None) == expected
+        emb = find_embedding(small, big)
+        assert (emb is not None) == expected
+        if emb is not None:
+            assert len(set(emb)) == small.order
+            for a in range(small.order):
+                for b in range(small.order):
+                    assert emb[small.mul(a, b)] == big.mul(emb[a], emb[b])
 
 
 class TestCatalog:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, formats, and exit codes."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -18,13 +19,15 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def stand_in_pool(monkeypatch):
-    """Replace the worker pool by one that records max_workers and maps in
-    this process, so a --jobs test starts no process; returns the records."""
+    """Replace the worker pool by one that records max_workers and runs its
+    initializer and map in this process, so a --jobs test starts no process;
+    returns the records."""
     seen = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             seen.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -35,7 +38,7 @@ def stand_in_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return seen
 
 
@@ -250,7 +253,12 @@ class TestMalformedInput:
         "1 2\nx2\n3\n4\n",
         '{"n": 1, "target": [4]}',
         '{"n": 1, "generators": [[2], [3]], "tar',
-    ], ids=["non-integer token", "no generators key", "truncated JSON"])
+        '{"n": 1e400, "generators": [[2], [3]], "target": [4]}',
+        "",
+        "1\n2\n4\n",
+        "1 3\n2\n3\n4\n",
+    ], ids=["non-integer token", "no generators key", "truncated JSON", "1e400",
+            "empty file", "short header", "generator count"])
     def test_instance_file(self, capsys, tmp_path, text):
         path = tmp_path / "inst.txt"
         path.write_text(text)
@@ -261,7 +269,8 @@ class TestMalformedInput:
         "2\n1 1\n2 x\n",
         '{"order": 1}',
         '{"order": 1, "table": [[1]',
-    ], ids=["non-integer token", "no table key", "truncated JSON"])
+        '{"order": 1, "table": [[1e400]]}',
+    ], ids=["non-integer token", "no table key", "truncated JSON", "1e400"])
     def test_band_file(self, capsys, tmp_path, text):
         path = tmp_path / "band.txt"
         path.write_text(text)
@@ -274,6 +283,28 @@ class TestMalformedInput:
     ])
     def test_ghi_word_name(self, capsys, name, kind):
         code, out, err = run(capsys, "words", "ghi", name)
+        assert out == ""
+        self.assert_one_line_error(code, err, kind)
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["content", "1 x"], "ParseError"),
+        (["cut", "2.5"], "ParseError"),
+        (["sigma", "1 two"], "ParseError"),
+        (["dual", "1 0"], "ParseError"),
+        (["hn", "--n", "3", "1 x"], "ParseError"),
+        (["eval", "--catalog", "S10", "--assign", "1 2", "x"], "ParseError"),
+        (["eval", "--catalog", "S10", "--assign", "1 x", "1 2"], "ParseError"),
+        (["eval", "--catalog", "S10", "--assign", "1 2", "0"], "ParseError"),
+        (["eval", "--catalog", "S10", "--assign", "1 11", "1 2"], "OutOfRange"),
+        (["eval", "--catalog", "S10", "--assign", "0 2", "1 2"], "OutOfRange"),
+        (["identity", "--catalog", "S10", "--lhs", "1 y", "--rhs", "1"], "ParseError"),
+        (["identity", "--catalog", "LZ(2)", "--lhs", str(2**63), "--rhs", "1"],
+         "ArityTooLarge"),
+    ], ids=["content", "cut", "sigma", "dual zero", "hn", "eval word", "eval assign",
+            "eval x0", "eval value above m", "eval value 0", "identity",
+            "identity huge variable"])
+    def test_word_arguments(self, capsys, argv, kind):
+        code, out, err = run(capsys, "words", *argv)
         assert out == ""
         self.assert_one_line_error(code, err, kind)
 

@@ -23,7 +23,7 @@ from bandsmp import (
 )
 from bandsmp import power
 from bandsmp.band import CATALOG_EXAMPLES
-from bandsmp.errors import ArityMismatch, CapExceeded, OutOfRange
+from bandsmp.errors import ArityMismatch, CapExceeded, OutOfRange, ParseError
 
 import oracles
 
@@ -192,7 +192,7 @@ class TestInstanceFormat:
         assert again.target == inst.target
 
     def test_header_mismatch(self, s10):
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ParseError):
             parse_instance("1 2\n1\n2\n", s10)
 
 
