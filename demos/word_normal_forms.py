@@ -22,7 +22,6 @@ from bandsmp import (
     sigma,
     word_to_text,
 )
-from bandsmp.words import random_word
 
 
 def main():
@@ -41,7 +40,9 @@ def main():
     rng = random.Random(0)
     print("length bound on random words over k variables:")
     for k in (2, 4, 6):
-        longest = max(len(h_n(4, random_word(rng, k, 30))) for _ in range(200))
+        words = (tuple(rng.randint(1, k) for _ in range(rng.randint(1, 30)))
+                 for _ in range(200))
+        longest = max(len(h_n(4, w)) for w in words)
         print(f"  k={k}: longest h_4 seen {longest}, bound p_4({k}) = {length_bound_p(4, k)}")
 
     print()

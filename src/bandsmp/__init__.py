@@ -26,12 +26,10 @@ from .power import (
     SmpInstance,
     closure,
     format_instance,
-    instance_to_json,
     member_closure,
     member_closure_word,
     mul_tuple,
     parse_instance,
-    preorder_cw,
     prod_tuples,
 )
 from .quasi import (
@@ -78,10 +76,8 @@ from .reduction import (
     ReductionOutput,
     SatInstance,
     assignment_to_word,
-    format_dimacs,
     format_roles,
     parse_dimacs,
-    sat_oracle,
     sat_to_smp,
     word_to_assignment,
 )

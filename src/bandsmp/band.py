@@ -21,9 +21,12 @@ from .errors import (
     OutOfRange,
     SizeBoundExceeded,
     UnknownName,
+    integer,
+    labels,
     parsing,
+    read_text,
 )
-from .power import _bfs
+from .power import GenSet, _bfs
 
 Table = Sequence[Sequence[int]]
 
@@ -180,11 +183,7 @@ class Band:
 
     def subsemigroup(self, gens: Iterable[int]) -> frozenset[int]:
         """Closure of gens under the product; <()> is empty."""
-        gens = set(gens)
-        for g in gens:
-            if not 0 <= g < self.order:
-                raise OutOfRange(f"element {g + 1} outside 1..{self.order}")
-        found = _bfs(self, [(g,) for g in gens], 1, self.order, None)
+        found = _bfs(GenSet(self, 1, tuple((g,) for g in set(gens))), self.order, None)
         return frozenset(found.rows(1)[:, 0].tolist())
 
     # -- text formats ----------------------------------------------------------
@@ -215,25 +214,18 @@ class Band:
 # -- band file format --------------------------------------------------------
 
 def parse_band_text(text: str, name: Optional[str] = None) -> Band:
-    """Parse the band text format (or its JSON equivalent, 1-based labels)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        with parsing("JSON band"):
-            obj = json.loads(stripped)
-            m = int(obj["order"])
-            rows = [[int(v) - 1 for v in row] for row in obj["table"]]
-        if len(rows) != m:
-            raise OutOfRange(f"JSON band declares order {m} but has {len(rows)} rows")
-        return Band(rows, name=name)
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise OutOfRange("empty band file")
+    """Parse the band text format or its JSON equivalent (1-based labels)."""
     with parsing("band"):
-        m = int(lines[0])
-        if len(lines) != m + 1:
-            raise OutOfRange(f"band file declares order {m} but has {len(lines) - 1} rows")
-        rows = [[int(v) - 1 for v in ln.split()] for ln in lines[1:]]
+        obj = read_text(text)
+        if isinstance(obj, dict):
+            m, rows = integer(obj["order"]), obj["table"]
+        elif not obj:
+            raise OutOfRange("empty band file")
+        else:
+            (m,), rows = obj[0], obj[1:]
+        rows = [labels(row) for row in rows]
+    if len(rows) != m:
+        raise OutOfRange(f"band declares order {m} but has {len(rows)} rows")
     return Band(rows, name=name)
 
 

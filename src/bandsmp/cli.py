@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import band as band_mod
 from . import power, quasi, reduction, smp, words
-from .errors import BandSmpError, OutOfRange, parsing
+from .errors import BandSmpError, OutOfRange, UnsupportedIndex, labels, parsing
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -257,7 +257,11 @@ def _cmd_words(args) -> int:
     elif action == "hn":
         print(words.word_to_text(words.h_n(args.n, words.word_from_text(args.word))))
     elif action == "pbound":
-        print(words.length_bound_p(args.n, args.k))
+        bound = words.length_bound_p(args.n, args.k)
+        try:
+            print(bound)
+        except ValueError as exc:  # more digits than int-to-str conversion allows
+            raise UnsupportedIndex(f"p_{args.n}({args.k}) cannot be printed: {exc}") from None
     elif action == "ghi":
         with parsing(f"word name {args.name!r}, expected e.g. G3"):
             family, n = args.name[:1], int(args.name[1:])
@@ -266,7 +270,7 @@ def _cmd_words(args) -> int:
         band = _resolve_band(args)
         w = words.word_from_text(args.word)
         with parsing("--assign"):
-            assign = [int(v) - 1 for v in args.assign.split()]
+            assign = labels([int(v) for v in args.assign.split()])
         for v in assign:
             if not 0 <= v < band.order:
                 raise OutOfRange(f"--assign value {v + 1} outside 1..{band.order}")

@@ -1,7 +1,10 @@
-"""Exception hierarchy. Messages use 1-based element labels throughout."""
+"""Exception hierarchy, and the reader that turns band and instance files
+and label lists from outside into ints. Messages use 1-based element
+labels throughout."""
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 
 
@@ -46,15 +49,42 @@ class ParseError(BandSmpError):
 
 @contextmanager
 def parsing(what: str):
-    """Re-raise malformed-text failures (bad integers, numbers too large for
-    an int such as 1e400, missing JSON keys, truncated JSON) inside the
-    block as a one-line ParseError."""
+    """Re-raise malformed-text failures (bad integers, JSON values that are
+    not integers, missing JSON keys, truncated JSON) inside the block as a
+    one-line ParseError."""
     try:
         yield
     except KeyError as exc:
         raise ParseError(f"{what}: missing key {exc}") from None
     except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"{what}: {exc}") from None
+
+
+def read_text(text: str):
+    """A band or instance file as Python values: the object of a text that
+    starts with '{' (JSON), otherwise one list of ints for each line that is
+    neither blank nor a '#' comment. Call it inside parsing()."""
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
+    lines = (ln.strip() for ln in text.splitlines())
+    return [list(map(int, ln.split())) for ln in lines if ln and not ln.startswith("#")]
+
+
+def integer(value) -> int:
+    """value if it is an int; a JSON 2.9, 2.0, true or "3" is refused, not
+    read as 2, 2, 1 or 3."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def labels(values: list) -> tuple[int, ...]:
+    """1-based labels from outside as 0-based ints; only ints pass, as in
+    integer(). Call it inside parsing()."""
+    if not set(map(type, values)) <= {int}:  # the fast test; integer() names the culprit
+        for v in values:
+            integer(v)
+    return tuple([v - 1 for v in values])
 
 
 # --- direct powers ---
@@ -129,14 +159,6 @@ class DimacsSyntaxError(BandSmpError):
     def __init__(self, line: int, detail: str):
         self.line = line
         super().__init__(f"DIMACS syntax error on line {line}: {detail}")
-
-
-class TooManyVariables(BandSmpError):
-    pass
-
-
-class UnusedVariable(BandSmpError):
-    pass
 
 
 class NotAWitnessingWord(BandSmpError):

@@ -15,13 +15,14 @@ one-tuple-at-a-time BFS.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, CapExceeded, OutOfRange, ParseError, parsing
+from .errors import (ArityMismatch, CapExceeded, OutOfRange, ParseError, integer, labels,
+                     parsing, read_text)
 
 if TYPE_CHECKING:
     from .band import Band
@@ -33,25 +34,42 @@ DEFAULT_CAP = 5_000_000
 
 @dataclass(frozen=True)
 class GenSet:
-    """Ordered generator set inside S^n; order fixes all search determinism."""
+    """Ordered generator set inside S^n; order fixes all search determinism.
+
+    The members are validated once, into rows: a read-only (k, n) intp array
+    with one row per member, which the closure search and the polynomial
+    solvers read.
+    """
 
     band: Band
     n: int
     members: tuple[ElementTuple, ...]
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for t in self.members:
-            if len(t) != self.n:
-                raise ArityMismatch(
-                    f"generator {t} has arity {len(t)}, expected {self.n}"
-                )
-            for v in t:
-                if not 0 <= v < self.band.order:
-                    raise OutOfRange(f"coordinate {v + 1} outside 1..{self.band.order}")
-            if t in seen:
-                raise ArityMismatch(f"duplicate generator {t}")
-            seen.add(t)
+        members, n, m = self.members, self.n, self.band.order
+        # the first member that fails a check raises; a member is checked for
+        # its arity, then its range, then for repeating an earlier member
+        k = next((i for i, t in enumerate(members) if len(t) != n), len(members))
+        try:
+            rows = np.fromiter(chain.from_iterable(members[:k]), np.intp, k * n).reshape(k, n)
+        except OverflowError:  # a coordinate beyond intp, which is out of range
+            rows = np.array(members[:k], dtype=object).reshape(k, n)
+        outside = ((rows < 0) | (rows >= m)).any(1)
+        r = int(outside.argmax()) if outside.any() else k
+        first: dict[ElementTuple, int] = {}
+        d = next((i for i, t in enumerate(members[:r]) if first.setdefault(t, i) != i), r)
+        if d < r:
+            raise ArityMismatch(f"duplicate generator {members[d]}")
+        if r < k:
+            v = next(v for v in members[r] if not 0 <= v < m)
+            raise OutOfRange(f"coordinate {v + 1} outside 1..{m}")
+        if k < len(members):
+            t = members[k]
+            raise ArityMismatch(f"generator {t} has arity {len(t)}, expected {n}")
+        rows = rows.astype(np.intp, copy=False)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def of(cls, band: Band, members: Iterable[Sequence[int]], n: Optional[int] = None):
@@ -62,9 +80,10 @@ class GenSet:
             n = len(members[0])
         return cls(band=band, n=n, members=members)
 
-    def array(self) -> np.ndarray:
-        """The generators as the rows of a (k, n) intp array."""
-        return np.array(self.members, dtype=np.intp).reshape(len(self), self.n)
+    def check_target(self, b: Sequence[int]) -> None:
+        """Raise ArityMismatch unless b has the generators' arity."""
+        if len(b) != self.n:
+            raise ArityMismatch(f"target arity {len(b)} != generator arity {self.n}")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -81,10 +100,7 @@ class SmpInstance:
     target: ElementTuple
 
     def __post_init__(self):
-        if len(self.target) != self.gens.n:
-            raise ArityMismatch(
-                f"target arity {len(self.target)} != generator arity {self.gens.n}"
-            )
+        self.gens.check_target(self.target)
         for v in self.target:
             if not 0 <= v < self.gens.band.order:
                 raise OutOfRange(f"coordinate {v + 1} outside 1..{self.gens.band.order}")
@@ -117,13 +133,6 @@ def leq_cw(mat: np.ndarray, a, b) -> np.ndarray:
     rows, and the answer has one boolean per row (0-d for two tuples).
     """
     return mat[a, b].all(-1)
-
-
-def preorder_cw(band: Band, rel: str, a: ElementTuple, b: ElementTuple) -> bool:
-    """Componentwise preorder; equals the preorder in the band S^n."""
-    if len(a) != len(b):
-        raise ArityMismatch(f"arities {len(a)} and {len(b)} differ")
-    return bool(leq_cw(band.preorder(rel), a, b))
 
 
 #: bytes of product rows formed in one step; bounds the BFS's scratch memory
@@ -221,13 +230,7 @@ class _Closure:
         return word
 
 
-def _bfs(
-    band: Band,
-    members: Sequence[ElementTuple],
-    n: int,
-    cap: int,
-    stop_at: Optional[ElementTuple],
-) -> _Closure:
+def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     """The closure BFS over n-tuples, stopping once stop_at is found.
 
     Level by level: the products of a block of the last level's tuples with
@@ -236,12 +239,14 @@ def _bfs(
     the order of the one-tuple-at-a-time BFS, so every tuple gets the same
     parent, and every word is BFS-shortest and the same from run to run.
     """
-    table = band.array
-    m, k = band.order, len(members)
-    gens = np.array(members, dtype=table.dtype).reshape(k, n)
-    if stop_at is not None and not all(0 <= v < m for v in stop_at):
-        stop_at = None  # outside S^n, so never found
+    table, n = gens.band.array, gens.n
+    m, k = gens.band.order, len(gens)
+    if stop_at is not None:
+        gens.check_target(stop_at)
+        if not all(0 <= v < m for v in stop_at):
+            stop_at = None  # outside S^n, so never found
     target = None if stop_at is None else np.array(stop_at, dtype=table.dtype)
+    gens = gens.rows.astype(table.dtype)
     if n == 0:  # () is stored as the 1-tuple (0,), which 0·0 = 0 keeps closed
         gens = np.zeros((k, 1), table.dtype)
         target = None if stop_at is None else np.zeros(1, table.dtype)
@@ -283,7 +288,7 @@ def _bfs(
 
 def closure(gens: GenSet, cap: int = DEFAULT_CAP) -> list[ElementTuple]:
     """Full <A> in BFS insertion order; CapExceeded if it grows past cap."""
-    rows = _bfs(gens.band, gens.members, gens.n, cap, stop_at=None).rows(gens.n)
+    rows = _bfs(gens, cap, stop_at=None).rows(gens.n)
     out: list[ElementTuple] = []
     for c in range(0, len(rows), 256):  # no list of lists for the whole closure
         out.extend(map(tuple, rows[c:c + 256].tolist()))
@@ -292,18 +297,14 @@ def closure(gens: GenSet, cap: int = DEFAULT_CAP) -> list[ElementTuple]:
 
 def member_closure(gens: GenSet, b: ElementTuple, cap: int = DEFAULT_CAP) -> bool:
     """Exact membership b in <A> by closure, with early exit."""
-    if len(b) != gens.n:
-        raise ArityMismatch(f"target arity {len(b)} != generator arity {gens.n}")
-    return _bfs(gens.band, gens.members, gens.n, cap, stop_at=b).hit is not None
+    return _bfs(gens, cap, stop_at=b).hit is not None
 
 
 def member_closure_word(
     gens: GenSet, b: ElementTuple, cap: int = DEFAULT_CAP
 ) -> Optional[list[int]]:
     """A shortest witnessing generator word (1-based indices), or None."""
-    if len(b) != gens.n:
-        raise ArityMismatch(f"target arity {len(b)} != generator arity {gens.n}")
-    found = _bfs(gens.band, gens.members, gens.n, cap, stop_at=b)
+    found = _bfs(gens, cap, stop_at=b)
     return None if found.hit is None else found.word()
 
 
@@ -311,29 +312,23 @@ def member_closure_word(
 
 def parse_instance(text: str, band: Band) -> SmpInstance:
     """Parse the SMP instance text format or its JSON equivalent (1-based)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        with parsing("JSON instance"):
-            obj = json.loads(stripped)
-            n = int(obj["n"])
-            gens = [tuple(int(v) - 1 for v in row) for row in obj["generators"]]
-            target = tuple(int(v) - 1 for v in obj["target"])
-        return SmpInstance(GenSet(band=band, n=n, members=tuple(gens)), target)
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParseError("empty instance file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("instance header must be 'n k'")
     with parsing("instance"):
-        n, k = int(head[0]), int(head[1])
-        if len(lines) != k + 2:
-            raise ParseError(
-                f"instance declares {k} generators but file has {len(lines) - 2}"
-            )
-        rows = [tuple(int(v) - 1 for v in ln.split()) for ln in lines[1:]]
-    return SmpInstance(GenSet(band=band, n=n, members=tuple(rows[:-1])), rows[-1])
+        obj = read_text(text)
+        if isinstance(obj, dict):
+            n, rows = integer(obj["n"]), [*obj["generators"], obj["target"]]
+        elif not obj:
+            raise ParseError("empty instance file")
+        elif len(obj[0]) != 2:
+            raise ParseError("instance header must be 'n k'")
+        else:
+            (n, k), rows = obj[0], obj[1:]
+            if k < 0 or len(rows) != k + 1:
+                raise ParseError(
+                    f"instance declares {k} generators but file has {max(len(rows) - 1, 0)}")
+        rows = [labels(row) for row in rows]
+        # inside parsing, so an arity that no array can have (negative, or
+        # huge with no generators) is a ParseError too
+        return SmpInstance(GenSet(band=band, n=n, members=tuple(rows[:-1])), rows[-1])
 
 
 def format_instance(inst: SmpInstance) -> str:
@@ -342,13 +337,3 @@ def format_instance(inst: SmpInstance) -> str:
         lines.append(" ".join(str(v + 1) for v in g))
     lines.append(" ".join(str(v + 1) for v in inst.target))
     return "\n".join(lines) + "\n"
-
-
-def instance_to_json(inst: SmpInstance) -> str:
-    return json.dumps(
-        {
-            "n": inst.gens.n,
-            "generators": [[v + 1 for v in g] for g in inst.gens.members],
-            "target": [v + 1 for v in inst.target],
-        }
-    )

@@ -9,22 +9,13 @@ the same variable. The formula is satisfiable iff the target is generated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 from .band import Band
-from .errors import (
-    DimacsSyntaxError,
-    NotAWitness,
-    NotAWitnessingWord,
-    TooManyVariables,
-    UnusedVariable,
-)
+from .errors import DimacsSyntaxError, NotAWitness, NotAWitnessingWord
 from .power import GenSet, SmpInstance
 from .quasi import Witness, canonical_forbidden_witness, construct_forbidden_band, is_witness
 from .smp import verify_word
-
-DEFAULT_SAT_VAR_BOUND = 20
 
 
 @dataclass(frozen=True)
@@ -109,27 +100,6 @@ def parse_dimacs(text: str) -> SatInstance:
     return SatInstance(num_vars=num_vars, clauses=tuple(clauses))
 
 
-def format_dimacs(sat: SatInstance) -> str:
-    lines = [f"p cnf {sat.num_vars} {len(sat.clauses)}"]
-    for clause in sat.clauses:
-        lines.append(" ".join(str(l) for l in sorted(clause, key=abs)) + " 0")
-    return "\n".join(lines) + "\n"
-
-
-def sat_oracle(sat: SatInstance, max_vars: int = DEFAULT_SAT_VAR_BOUND) -> bool:
-    """Exhaustive truth-table satisfiability check."""
-    if sat.num_vars > max_vars:
-        raise TooManyVariables(
-            f"{sat.num_vars} variables exceed the oracle bound of {max_vars}"
-        )
-    if sat.has_empty_clause:
-        return False
-    for values in product((False, True), repeat=sat.num_vars):
-        if sat.evaluate(values):
-            return True
-    return False
-
-
 @dataclass
 class ReductionOutput:
     """The emitted membership instance plus bookkeeping for round trips."""
@@ -165,7 +135,6 @@ def sat_to_smp(
     sat: SatInstance,
     band: Optional[Band] = None,
     witness: Optional[Witness] = None,
-    drop_unused: bool = True,
 ) -> ReductionOutput:
     """Emit the hardness instance for a CNF over a normalized witness.
 
@@ -181,9 +150,6 @@ def sat_to_smp(
     _check_normalized(band, witness)
 
     used = sat.used_variables()
-    if len(used) < sat.num_vars and not drop_unused:
-        missing = sorted(set(range(1, sat.num_vars + 1)) - set(used))
-        raise UnusedVariable(f"variables {missing} occur in no clause")
     variable_map = {orig: j + 1 for j, orig in enumerate(used)}
     clauses = tuple(
         frozenset(

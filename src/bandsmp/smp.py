@@ -22,7 +22,6 @@ import numpy as np
 
 from .band import Band
 from .errors import (
-    ArityMismatch,
     EmptyWord,
     IndexOutOfRange,
     LambdaNotSatisfied,
@@ -82,7 +81,7 @@ class CpInfixInstance:
             raise PreconditionViolated("c J d componentwise")
         if not leq_cw(leq_j, self.d, self.e):
             raise PreconditionViolated("d <=_J e componentwise")
-        if not leq_cw(leq_j, self.e, self.gens.array()).all():
+        if not leq_cw(leq_j, self.e, self.gens.rows).all():
             raise PreconditionViolated("e <=_J a componentwise for every a in A")
 
     @property
@@ -120,7 +119,7 @@ def cp_infix(
     """
     _require_lambda(inst.band, force)
     c, d, e = map(_row, (inst.c, inst.d, inst.e))
-    return _tuple(_cp_infix_core(inst.band, inst.gens.array(), c, d, e, stats))
+    return _tuple(_cp_infix_core(inst.band, inst.gens.rows, c, d, e, stats))
 
 
 def _cp_infix_core(
@@ -202,9 +201,8 @@ def cp_suffix(
     generators lying J-above the current x.
     """
     _require_lambda(gens.band, force)
-    if len(b) != gens.n:
-        raise ArityMismatch(f"target arity {len(b)} != generator arity {gens.n}")
-    return _tuple(_cp_suffix_core(gens.band, gens.array(), _row(b), stats))
+    gens.check_target(b)
+    return _tuple(_cp_suffix_core(gens.band, gens.rows, _row(b), stats))
 
 
 def _cp_suffix_core(
@@ -272,7 +270,7 @@ def smp_decide_poly(
         )
     if stats is not None:
         stats.bound = inst.gens.n * (band.height() - 1)
-    A, b = inst.gens.array(), _row(inst.target)
+    A, b = inst.gens.rows, _row(inst.target)
     x = _cp_suffix_core(band, A, b, stats)
     if x is None:
         return False

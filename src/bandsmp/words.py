@@ -91,9 +91,10 @@ def length_bound_p(n: int, k: int) -> int:
         raise UnsupportedIndex(f"p_n is defined for n >= 2, got {n}")
     if k < 1:
         raise UnsupportedIndex(f"k must be positive, got {k}")
-    if n == 2:
-        return 1
-    return k * (1 + length_bound_p(n - 1, k))
+    p = 1
+    for _ in range(n - 2):
+        p = k * (1 + p)
+    return p
 
 
 _GHI: dict[tuple[str, int], Word] = {
@@ -182,9 +183,3 @@ def satisfies_identity(
         ):
             return tuple(assignment)
     return True
-
-
-def random_word(rng, max_var: int, max_len: int) -> Word:
-    """A nonempty random word; used by the property-test suites."""
-    length = rng.randint(1, max_len)
-    return tuple(rng.randint(1, max_var) for _ in range(length))

@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from bandsmp import catalog, member_closure, parse_band_text, parse_instance, sat_oracle
+from bandsmp import catalog, member_closure, parse_band_text, parse_instance
 from bandsmp import cli
 from bandsmp.cli import main
-from bandsmp.reduction import SatInstance
+
+from oracles import naive_sat
 
 
 def run(capsys, *argv):
@@ -257,8 +258,13 @@ class TestMalformedInput:
         "",
         "1\n2\n4\n",
         "1 3\n2\n3\n4\n",
+        '{"n": 1, "generators": [[2.9], [3]], "target": [4]}',
+        '{"n": 1, "generators": [[2.0], [3]], "target": [4]}',
+        '{"n": 1, "generators": [[true], [3]], "target": [4]}',
+        '{"n": 1.5, "generators": [[2], [3]], "target": [4]}',
     ], ids=["non-integer token", "no generators key", "truncated JSON", "1e400",
-            "empty file", "short header", "generator count"])
+            "empty file", "short header", "generator count", "float label",
+            "integral float label", "bool label", "float n"])
     def test_instance_file(self, capsys, tmp_path, text):
         path = tmp_path / "inst.txt"
         path.write_text(text)
@@ -270,7 +276,11 @@ class TestMalformedInput:
         '{"order": 1}',
         '{"order": 1, "table": [[1]',
         '{"order": 1, "table": [[1e400]]}',
-    ], ids=["non-integer token", "no table key", "truncated JSON", "1e400"])
+        '{"order": 1, "table": [[1.9]]}',
+        '{"order": 1, "table": [[true]]}',
+        '{"order": 1.0, "table": [[1]]}',
+    ], ids=["non-integer token", "no table key", "truncated JSON", "1e400",
+            "float label", "bool label", "float order"])
     def test_band_file(self, capsys, tmp_path, text):
         path = tmp_path / "band.txt"
         path.write_text(text)
@@ -300,9 +310,10 @@ class TestMalformedInput:
         (["identity", "--catalog", "S10", "--lhs", "1 y", "--rhs", "1"], "ParseError"),
         (["identity", "--catalog", "LZ(2)", "--lhs", str(2**63), "--rhs", "1"],
          "ArityTooLarge"),
+        (["pbound", "--n", "20000", "--k", "2"], "UnsupportedIndex"),
     ], ids=["content", "cut", "sigma", "dual zero", "hn", "eval word", "eval assign",
             "eval x0", "eval value above m", "eval value 0", "identity",
-            "identity huge variable"])
+            "identity huge variable", "pbound too long to print"])
     def test_word_arguments(self, capsys, argv, kind):
         code, out, err = run(capsys, "words", *argv)
         assert out == ""
@@ -357,6 +368,11 @@ class TestWords:
         assert out == "3 1 2\n"
         _, out, _ = run(capsys, "words", "pbound", "--n", "4", "--k", "3")
         assert out == "21\n"
+
+    def test_pbound_at_large_n(self, capsys):
+        # p_n(2) = 2 + 4 + ... + 2^(n-3) + 2 * 2^(n-2) = 3 * 2^(n-2) - 2
+        code, out, _ = run(capsys, "words", "pbound", "--n", "2000", "--k", "2")
+        assert code == 0 and out == f"{3 * 2**1998 - 2}\n"
 
     def test_eval(self, capsys):
         code, out, _ = run(
@@ -414,7 +430,7 @@ class TestReduce:
         assert code == 0
         inst = parse_instance(out_path.read_text(), catalog("S9"))
         assert not member_closure(inst.gens, inst.target)
-        assert not sat_oracle(SatInstance(1, (frozenset({1}), frozenset({-1}))))
+        assert not naive_sat(1, (frozenset({1}), frozenset({-1})))
 
     def test_reduce_tractable_band_errors(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"

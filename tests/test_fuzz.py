@@ -6,7 +6,10 @@ exit 1 would be a wrong answer. The texts are valid band, instance and
 DIMACS files with a few tokens replaced (by 0, negatives, ints of 2**63 and
 more, non-integers, JSON fragments, 1e400) or cut short; the word arguments
 are built from the same tokens. `words hn` and `words pbound` get a fixed
---n, since their recursion depth grows with it.
+--n: hn recurses once per unit of n, and pbound loops n times.
+
+A JSON band or instance file with a float or a bool where an integer
+belongs must be refused, even where int() would read it as a valid label.
 """
 
 import io
@@ -16,8 +19,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandsmp import catalog, format_instance, instance_to_json, parse_instance
+from bandsmp import catalog, format_instance, parse_instance
 from bandsmp.cli import main
+
+from helpers import instance_to_json
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=120)
 
@@ -25,8 +30,8 @@ TOKENS = st.one_of(
     st.integers(-3, 12),
     st.sampled_from([2**63, 2**64 + 1, -(2**63), 10**30]),
     st.sampled_from([
-        "x", "1.5", "1e400", "-1e400", "nan", "", "{", "}", "[", "]", "[]", "{}",
-        '"a"', "null", "true", ":", ",", "#",
+        "x", "1.5", "2.0", "1e400", "-1e400", "nan", "", "{", "}", "[", "]", "[]", "{}",
+        '"a"', "null", "true", "false", ":", ",", "#",
     ]),
 ).map(str)
 
@@ -48,13 +53,30 @@ def near_valid(draw, bases):
 
 WORDS = st.lists(TOKENS, max_size=4).map(" ".join)
 
+#: JSON values that are not integers, though int() reads each as one
+NOT_INTEGERS = st.one_of(
+    st.floats(-12, 12).map(repr),
+    st.sampled_from(["true", "false"]),
+)
+
+
+@st.composite
+def one_non_integer(draw, bases):
+    """One of the JSON bases with one of its integers replaced by a float or a bool."""
+    parts = _SEPARATORS.split(draw(st.sampled_from(bases)))
+    ints = [i for i, p in enumerate(parts) if p.lstrip("-").isdigit()]
+    parts[draw(st.sampled_from(ints))] = draw(NOT_INTEGERS)
+    return "".join(parts)
+
+
 _BANDS = [catalog(name) for name in ("LZ(2)", "SL-chain(3)", "Rect(2,2)")]
-BAND_TEXTS = [b.to_text() for b in _BANDS] + [b.to_json() for b in _BANDS]
+JSON_BANDS = [b.to_json() for b in _BANDS]
+BAND_TEXTS = [b.to_text() for b in _BANDS] + JSON_BANDS
 
 _INSTANCES = [parse_instance(text, catalog("S10"))
               for text in ("1 2\n2\n3\n4\n", "3 2\n1 2 3\n6 7 8\n6 9 8\n")]
-INSTANCE_TEXTS = ([format_instance(i) for i in _INSTANCES]
-                  + [instance_to_json(i) for i in _INSTANCES])
+JSON_INSTANCES = [instance_to_json(i) for i in _INSTANCES]
+INSTANCE_TEXTS = [format_instance(i) for i in _INSTANCES] + JSON_INSTANCES
 
 DIMACS_TEXTS = ["p cnf 3 2\n1 -2 0\n2 3 0\n", "c comment\np cnf 2 3\n1 0\n-1 2 0\n-2 0\n"]
 
@@ -64,18 +86,25 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def assert_clean(argv):
-    """main(argv) returns 0, 1 or 2 with at most one stderr line, or stops
-    with the usage exit 64."""
+def run_main(argv):
+    """(exit code, stderr) of main(argv); a usage error stops with exit 64."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
-            assert exc.code == 64, argv
-            return
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_clean(argv):
+    """main(argv) returns 0, 1 or 2 with at most one stderr line, or stops
+    with the usage exit 64."""
+    code, err = run_main(argv)
+    if code == 64:
+        return
     assert code in (0, 1, 2), argv
-    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert len(err.splitlines()) <= 1, (argv, err)
 
 
 @FUZZ
@@ -95,6 +124,19 @@ def test_instance_files(workdir, texts, algo):
         paths.append(workdir / f"inst{i}.txt")
         paths[-1].write_text(text)
     assert_clean(["smp", "--catalog", "S10", "--algo", algo, "--instance", *map(str, paths)])
+
+
+@FUZZ
+@given(band=st.booleans(), data=st.data())
+def test_json_non_integers(workdir, band, data):
+    text = data.draw(one_non_integer(JSON_BANDS if band else JSON_INSTANCES))
+    path = workdir / "non_integer.json"
+    path.write_text(text)
+    argv = (["validate", "--band", str(path)] if band
+            else ["smp", "--catalog", "S10", "--instance", str(path)])
+    code, err = run_main(argv)
+    assert code == 2 and err.startswith("error: ParseError") and len(err.splitlines()) == 1, \
+        (text, err)
 
 
 @FUZZ

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from bandsmp import (
@@ -12,20 +13,20 @@ from bandsmp import (
     catalog,
     closure,
     format_instance,
-    instance_to_json,
     member_closure,
     member_closure_word,
     mul_tuple,
     parse_instance,
-    preorder_cw,
     sat_to_smp,
     verify_word,
 )
 from bandsmp import power
 from bandsmp.band import CATALOG_EXAMPLES
 from bandsmp.errors import ArityMismatch, CapExceeded, OutOfRange, ParseError
+from bandsmp.power import leq_cw
 
 import oracles
+from helpers import instance_to_json
 
 
 class TestMul:
@@ -48,17 +49,17 @@ class TestMul:
 
 class TestPreorderCw:
     def test_j_example(self, s9):
-        assert preorder_cw(s9, "J", (7, 7), (2, 4))  # (8,8) vs (3,5)
+        assert leq_cw(s9.preorder("J"), (7, 7), (2, 4))  # (8,8) vs (3,5)
 
     def test_reflexive(self, s9):
         rng = random.Random(1)
         for _ in range(30):
             t = tuple(rng.randrange(9) for _ in range(3))
             for rel in "LRJ":
-                assert preorder_cw(s9, rel, t, t)
+                assert leq_cw(s9.preorder(rel), t, t)
 
     def test_l_example(self, s9):
-        assert not preorder_cw(s9, "L", (2,), (7,))  # 3*8 = 8 != 3
+        assert not leq_cw(s9.preorder("L"), (2,), (7,))  # 3*8 = 8 != 3
 
     @pytest.mark.parametrize("name", ["S9", "S10", "Rect(2,3)"])
     def test_j_matches_xyx_rule(self, name):
@@ -69,7 +70,7 @@ class TestPreorderCw:
             a = tuple(rng.randrange(band.order) for _ in range(n))
             b = tuple(rng.randrange(band.order) for _ in range(n))
             rule = mul_tuple(band, mul_tuple(band, a, b), a) == a
-            assert preorder_cw(band, "J", a, b) == rule
+            assert leq_cw(band.preorder("J"), a, b) == rule
 
     def test_dual_swaps_l_and_r(self, s9):
         d = s9.dual()
@@ -77,7 +78,7 @@ class TestPreorderCw:
         for _ in range(100):
             a = tuple(rng.randrange(9) for _ in range(2))
             b = tuple(rng.randrange(9) for _ in range(2))
-            assert preorder_cw(s9, "L", a, b) == preorder_cw(d, "R", a, b)
+            assert leq_cw(s9.preorder("L"), a, b) == leq_cw(d.preorder("R"), a, b)
 
 
 class TestGenSet:
@@ -92,6 +93,46 @@ class TestGenSet:
     def test_target_arity_checked(self, s9):
         with pytest.raises(ArityMismatch):
             SmpInstance(GenSet.of(s9, [(0, 0)]), (0,))
+
+    def test_rows_are_the_members(self, s10):
+        gens = GenSet.of(s10, [(1, 0, 9), (2, 9, 4)])
+        assert gens.rows.dtype == np.intp and not gens.rows.flags.writeable
+        assert gens.rows.tolist() == [list(t) for t in gens.members]
+        assert GenSet(band=s10, n=3, members=()).rows.shape == (0, 3)
+        assert GenSet.of(s10, [()], n=0).rows.shape == (1, 0)
+
+    def test_first_failing_member_raises_as_a_loop_would(self, s9):
+        """The checks are vectorized; the loop they replace is the referee:
+        members in order, each checked for arity, range, then repetition."""
+        def referee(members, n):
+            seen = set()
+            for t in members:
+                if len(t) != n:
+                    return ArityMismatch, f"generator {t} has arity {len(t)}, expected {n}"
+                for v in t:
+                    if not 0 <= v < 9:
+                        return OutOfRange, f"coordinate {v + 1} outside 1..9"
+                if t in seen:
+                    return ArityMismatch, f"duplicate generator {t}"
+                seen.add(t)
+            return None
+
+        values = [0, 3, 8, 9, -1, 2**63, 2**64 + 1, -(2**63) - 1]
+        rng = random.Random(5)
+        for _ in range(400):
+            n = rng.randint(0, 3)
+            members = [tuple(rng.choice(values[:3] * 6 + values[3:])
+                             for _ in range(n if rng.random() < 0.9 else n + 1))
+                       for _ in range(rng.randint(0, 5))]
+            members += rng.sample(members, min(len(members), rng.randint(0, 1)))
+            rng.shuffle(members)
+            want = referee(members, n)
+            try:
+                GenSet(band=s9, n=n, members=tuple(members))
+                got = None
+            except (ArityMismatch, OutOfRange) as exc:
+                got = type(exc), str(exc)
+            assert got == want, members
 
 
 class TestClosure:

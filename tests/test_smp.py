@@ -20,7 +20,6 @@ from bandsmp import (
     cp_suffix,
     member_closure,
     mul_tuple,
-    preorder_cw,
     smp_decide_auto,
     smp_decide_poly,
     verify_word,
@@ -33,6 +32,7 @@ from bandsmp.errors import (
     NotTractable,
     PreconditionViolated,
 )
+from bandsmp.power import leq_cw
 
 
 def random_instance(band, rng, max_n=4, max_k=4):
@@ -111,18 +111,18 @@ class TestCpInfix:
                     tuple(rng.randrange(10) for _ in range(n))
                     for _ in range(rng.randint(1, 3))
                 )
-                if preorder_cw(s10, "J", e, t)
+                if leq_cw(s10.preorder("J"), e, t)
             }
             if not members:
                 continue
             gens = GenSet.of(s10, sorted(members), n=n)
             d = mul_tuple(s10, e, tuple(rng.randrange(10) for _ in range(n)))
             d = mul_tuple(s10, tuple(rng.randrange(10) for _ in range(n)), d)
-            if not preorder_cw(s10, "J", d, e):
+            if not leq_cw(s10.preorder("J"), d, e):
                 continue
             y0 = closure(gens)[rng.randrange(len(closure(gens)))]
             c = mul_tuple(s10, mul_tuple(s10, d, y0), e)
-            if not (preorder_cw(s10, "J", c, d) and preorder_cw(s10, "J", d, c)):
+            if not (leq_cw(s10.preorder("J"), c, d) and leq_cw(s10.preorder("J"), d, c)):
                 continue
             inst = CpInfixInstance(c=c, d=d, e=e, gens=gens)
             y = cp_infix(inst)
@@ -156,8 +156,8 @@ class TestCpSuffix:
             members = set(closure(inst.gens))
             suffixes = [
                 t for t in members
-                if preorder_cw(s10, "L", t, inst.target)
-                and preorder_cw(s10, "L", inst.target, t)
+                if leq_cw(s10.preorder("L"), t, inst.target)
+                and leq_cw(s10.preorder("L"), inst.target, t)
             ]
             if x is None:
                 assert not suffixes
@@ -165,8 +165,8 @@ class TestCpSuffix:
                 hits += 1
                 assert x in members
                 assert mul_tuple(s10, inst.target, x) == inst.target
-                assert preorder_cw(s10, "L", x, inst.target)
-                assert preorder_cw(s10, "L", inst.target, x)
+                assert leq_cw(s10.preorder("L"), x, inst.target)
+                assert leq_cw(s10.preorder("L"), inst.target, x)
         assert hits > 30
 
 
@@ -336,7 +336,7 @@ class TestArraySolversAgainstReferee:
     @staticmethod
     def run_both(band, gens, target):
         outcomes = []
-        arrays = (GenSet.of(band, gens, n=len(target)).array(),
+        arrays = (GenSet.of(band, gens, n=len(target)).rows,
                   np.array(target, dtype=np.intp))
         for core, args in ((smp._cp_suffix_core, arrays), (_ref_suffix_core, (gens, target))):
             stats = LoopStats()
@@ -491,8 +491,8 @@ class TestSmpDecide:
             inst = random_instance(s10, rng, max_n=2, max_k=3)
             members = closure(inst.gens)
             x = members[rng.randrange(len(members))]
-            a_x = [a for a in inst.gens.members if preorder_cw(s10, "J", x, a)]
-            above = {y for y in members if preorder_cw(s10, "J", x, y)}
+            a_x = [a for a in inst.gens.members if leq_cw(s10.preorder("J"), x, a)]
+            above = {y for y in members if leq_cw(s10.preorder("J"), x, y)}
             if a_x:
                 sub = set(closure(GenSet.of(s10, a_x, n=inst.gens.n)))
             else:

@@ -20,9 +20,9 @@ from bandsmp import (
     word_to_text,
 )
 from bandsmp.errors import ArityTooLarge, EmptyWord, UnboundVariable, UnsupportedIndex
-from bandsmp.words import random_word
 
 import oracles
+from helpers import random_word
 
 
 class TestOperators:
