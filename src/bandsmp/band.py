@@ -7,7 +7,6 @@ against printed references line by line.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,10 +34,12 @@ Table = Sequence[Sequence[int]]
 class GreenCache:
     """Precomputed L/R/J preorders, J-partition, and J-quotient height.
 
-    The preorders are read-only (m, m) boolean arrays: leq_j[a, b] is a <=_J b.
+    The preorders are read-only (m, m) boolean arrays: leq_j[a, b] is a <=_J b;
+    eq_l is the L-equivalence, leq_l and its transpose.
     """
 
     leq_l: np.ndarray
+    eq_l: np.ndarray
     leq_r: np.ndarray
     leq_j: np.ndarray
     j_class_of: tuple[int, ...]
@@ -125,10 +126,12 @@ class Band:
             return best
 
         height = max(chain_below(i) for i in range(len(reps)))
-        for mat in (t, leq_l, leq_r, leq_j):
+        eq_l = leq_l & leq_l.T
+        for mat in (t, leq_l, eq_l, leq_r, leq_j):
             mat.setflags(write=False)
         return GreenCache(
             leq_l=leq_l,
+            eq_l=eq_l,
             leq_r=leq_r,
             leq_j=leq_j,
             j_class_of=tuple(j_class_of),
@@ -193,10 +196,6 @@ class Band:
         for row in self.table:
             lines.append(" ".join(str(v + 1) for v in row))
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        table = [[v + 1 for v in row] for row in self.table]
-        return json.dumps({"order": self.order, "table": table})
 
     # -- dunder ----------------------------------------------------------------
 

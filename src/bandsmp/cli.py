@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import band as band_mod
 from . import power, quasi, reduction, smp, words
-from .errors import BandSmpError, OutOfRange, UnsupportedIndex, labels, parsing
+from .errors import BandSmpError, OutOfRange, labels, parsing
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -257,11 +257,7 @@ def _cmd_words(args) -> int:
     elif action == "hn":
         print(words.word_to_text(words.h_n(args.n, words.word_from_text(args.word))))
     elif action == "pbound":
-        bound = words.length_bound_p(args.n, args.k)
-        try:
-            print(bound)
-        except ValueError as exc:  # more digits than int-to-str conversion allows
-            raise UnsupportedIndex(f"p_{args.n}({args.k}) cannot be printed: {exc}") from None
+        print(words.length_bound_p(args.n, args.k))
     elif action == "ghi":
         with parsing(f"word name {args.name!r}, expected e.g. G3"):
             family, n = args.name[:1], int(args.name[1:])

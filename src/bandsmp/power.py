@@ -30,6 +30,7 @@ if TYPE_CHECKING:
 ElementTuple = tuple[int, ...]
 
 DEFAULT_CAP = 5_000_000
+MAX_ARITY = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class GenSet:
 
     def __post_init__(self):
         members, n, m = self.members, self.n, self.band.order
+        if not 0 <= n <= MAX_ARITY:
+            raise ArityMismatch(f"arity {n} outside 0..{MAX_ARITY}")
         # the first member that fails a check raises; a member is checked for
         # its arity, then its range, then for repeating an earlier member
         k = next((i for i, t in enumerate(members) if len(t) != n), len(members))
@@ -325,9 +328,9 @@ def parse_instance(text: str, band: Band) -> SmpInstance:
             if k < 0 or len(rows) != k + 1:
                 raise ParseError(
                     f"instance declares {k} generators but file has {max(len(rows) - 1, 0)}")
+        if not 0 <= n <= MAX_ARITY:
+            raise ParseError(f"instance arity {n} outside 0..{MAX_ARITY}")
         rows = [labels(row) for row in rows]
-        # inside parsing, so an arity that no array can have (negative, or
-        # huge with no generators) is a ParseError too
         return SmpInstance(GenSet(band=band, n=n, members=tuple(rows[:-1])), rows[-1])
 
 

@@ -35,10 +35,6 @@ class SatInstance:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise DimacsSyntaxError(ci + 1, f"literal {lit} out of range")
 
-    @property
-    def has_empty_clause(self) -> bool:
-        return any(not c for c in self.clauses)
-
     def used_variables(self) -> list[int]:
         used = set()
         for clause in self.clauses:

@@ -7,9 +7,12 @@ band, a "prefix" exist. Completeness of the first two needs the band to
 pass the quasiidentity scan; returned solutions are always re-verified,
 so even forced runs on failing bands never return a wrong "member".
 
-The solvers work on arrays: the generators are one (k, n) intp array, and
-each step indexes the band's intp table and boolean preorder matrices over
-every generator and coordinate at once. Each choice is still the first in
+The solvers work on one (k, n) intp generator array. Each test of the
+generators asks which ones match an (n, m) boolean mask M (M[i, a_i] for
+every i): "x <=_J a" is leq_j[x], the infix hit test leq_j[y] & (d y v e = c).
+Per generator, a counter keeps how many coordinates fail the last mask and
+recounts only the mask rows that changed, as a step changes x and y in few
+coordinates. The counts are exact and each choice is still the first in
 generator order, so the steps are those of the coordinate-by-coordinate rule.
 """
 
@@ -106,6 +109,29 @@ def _tuple(row: Optional[np.ndarray]) -> Optional[ElementTuple]:
     return None if row is None else tuple(row.tolist())
 
 
+class _Misses:
+    """Per generator g, how many coordinates i fail mask[i, A[g, i]]. Only rows
+    that differ from the last mask are recounted: finding them costs O(n m),
+    the update O(k |changed|)."""
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+        self.mask = None
+
+    def matches(self, mask: np.ndarray) -> np.ndarray:
+        """The generators that match mask, as a boolean k-vector."""
+        if self.mask is None:
+            self.count = len(mask) - mask[np.arange(len(mask)), self.A].sum(1)
+        else:
+            # +1 where a cell went from true to false, -1 the other way
+            delta = self.mask.view(np.int8) - mask.view(np.int8)
+            rows = delta.any(1).nonzero()[0]
+            if len(rows):
+                self.count += delta[rows, self.A[:, rows]].sum(1)
+        self.mask = mask
+        return self.count == 0
+
+
 def cp_infix(
     inst: CpInfixInstance,
     force: bool = False,
@@ -119,46 +145,49 @@ def cp_infix(
     """
     _require_lambda(inst.band, force)
     c, d, e = map(_row, (inst.c, inst.d, inst.e))
-    return _tuple(_cp_infix_core(inst.band, inst.gens.rows, c, d, e, stats))
+    A = inst.gens.rows
+    return _tuple(_cp_infix_core(inst.band, A, np.ones(len(A), bool), c, d, e, stats,
+                                 _Misses(A)))
 
 
-def _cp_infix_core(
-    band: Band,
-    A: np.ndarray,
-    c: np.ndarray,
-    d: np.ndarray,
-    e: np.ndarray,
-    stats: Optional[LoopStats],
-) -> Optional[np.ndarray]:
-    """The infix search over a (k, n) generator array and intp n-vectors;
-    callers guarantee the preconditions that CpInfixInstance checks."""
-    t = band.itable
+def _cp_infix_core(band: Band, A: np.ndarray, sub: np.ndarray, c: np.ndarray, d: np.ndarray,
+                   e: np.ndarray, stats: Optional[LoopStats], hits: _Misses
+                   ) -> Optional[np.ndarray]:
+    """The infix search over the rows a of A with e <=_J a, which the boolean
+    k-vector sub picks, and intp n-vectors c, d, e meeting CpInfixInstance's
+    preconditions. y in <sub> has e <=_J y, so hits (the misses of the hit
+    test, shareable between calls) can only match rows in sub."""
+    t, m = band.itable, band.order
     leq_j = band.green.leq_j
-    bound = len(c) * (band.height() - 1)
-    above_e, c_col, e_col = leq_j[e], c[:, None], e[:, None]
+    bound = len(c) * (band.green.height - 1)
+    c_col, e_col = c[:, None], e[:, None]
 
-    for a0 in A:
-        # s >=_J e with d a0 s e = c: fits[i, v] says v will do as s_i, and
-        # s_i is the least such v
-        fits = above_e & (t[t[t[d, a0]], e_col] == c_col)
-        if not fits.any(1).all():
-            continue
-        s = t[a0, fits.argmax(1)]
-        y = a0
+    for g in sub.nonzero()[0]:
+        y, s = A[g], None
         body_count = 0
         while True:
             dy = t[d, y]
-            above = leq_cw(leq_j, y, A)
-            hits = above & (t[t[dy, A], e] == c).all(1)
-            first = hits.argmax()
-            if hits[first]:
+            # solves[i, v] is (dy_i v) e_i = c_i; take beats indexing here
+            solves = t.take(t.take(dy, 0) * m + e_col) == c_col
+            hit = hits.matches(leq_j.take(y, 0) & solves)
+            first = hit.argmax()
+            if hit[first]:
                 if stats is not None:
                     stats.record_infix_pass(body_count)
                 result = t[y, A[first]]
                 if (t[t[d, result], e] != c).any():
                     raise AssertionError("infix solver returned an unverified solution")
                 return result
-            pair = _first_pair(t, dy, A[above], A[~above], s, c, e)
+            if s is None:
+                # s >=_J e with d a0 s e = c: fits[i, v] says v will do as s_i,
+                # and s_i is the least such v. A hit a at y = a0 would do as s,
+                # since e <=_J a, so s is needed only after a miss there.
+                fits = leq_j.take(e, 0) & solves
+                if not fits.any(1).all():
+                    break  # abandon this a0, resume the outer loop
+                s = t[A[g], fits.argmax(1)]
+            above = leq_cw(leq_j, y, A)
+            pair = _first_pair(t, dy, A[above], A[sub > above], s, c, e)
             if pair is None:
                 break  # abandon this a0, resume the outer loop
             y = t[t[y, pair[0]], pair[1]]
@@ -205,12 +234,8 @@ def cp_suffix(
     return _tuple(_cp_suffix_core(gens.band, gens.rows, _row(b), stats))
 
 
-def _cp_suffix_core(
-    band: Band,
-    A: np.ndarray,
-    b: np.ndarray,
-    stats: Optional[LoopStats],
-) -> Optional[np.ndarray]:
+def _cp_suffix_core(band: Band, A: np.ndarray, b: np.ndarray,
+                    stats: Optional[LoopStats]) -> Optional[np.ndarray]:
     """The suffix loop over a (k, n) generator array and an intp n-vector.
 
     Every step keeps b x = b: the infix solution gives (b a) y x = b.
@@ -218,22 +243,23 @@ def _cp_suffix_core(
     each infix instance meets its preconditions without a check.
     """
     t = band.itable
-    leq_l = band.green.leq_l
-    leq_j = band.green.leq_j
-    bound = len(b) * (band.height() - 1)
+    green = band.green
+    bound = len(b) * (green.height - 1)
 
-    fixes = (t[b, A] == b).all(1)
-    if not fixes.any():
+    fixes = leq_cw(green.leq_l, b, A).nonzero()[0]  # the a with b a = b
+    if not len(fixes):
         return None
-    x = A[fixes.argmax()]
+    x = A[fixes[0]]
 
-    above_b = leq_cw(leq_j, b, A)
+    above_b = None
     iterations = 0
-    while not (leq_cw(leq_l, x, b) and leq_cw(leq_l, b, x)):
-        above_x = leq_cw(leq_j, x, A)
-        a_x = A[above_x]
-        for a in A[above_b & ~above_x]:
-            y = _cp_infix_core(band, a_x, b, t[b, a], x, stats)
+    while not green.eq_l[x, b].all():
+        if above_b is None:  # the first step makes the miss counters
+            above_b, above, hits = leq_cw(green.leq_j, b, A), _Misses(A), _Misses(A)
+        above_x = above.matches(green.leq_j.take(x, 0))
+        for g in (above_b > above_x).nonzero()[0]:
+            a = A[g]
+            y = _cp_infix_core(band, A, above_x, b, t[b, a], x, stats, hits)
             if y is not None:
                 break
         else:
@@ -248,7 +274,7 @@ def _cp_suffix_core(
             )
     if stats is not None:
         stats.record_suffix_call(iterations)
-    if (t[b, x] != b).any():
+    if not leq_cw(green.leq_l, b, x):
         raise AssertionError("suffix solver returned an unverified solution")
     return x
 

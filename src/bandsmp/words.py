@@ -8,6 +8,8 @@ n = 2..4, and exhaustive identity checking on bands.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence, Union
@@ -91,9 +93,16 @@ def length_bound_p(n: int, k: int) -> int:
         raise UnsupportedIndex(f"p_n is defined for n >= 2, got {n}")
     if k < 1:
         raise UnsupportedIndex(f"k must be positive, got {k}")
+    # refuse what str() would; p_n(k) >= k^(n-2) tells most before the loop
+    limit = sys.get_int_max_str_digits()
+    too_long = UnsupportedIndex(f"p_{n}({k}) cannot be printed: more than {limit} digits")
+    if limit and (n - 2) * math.log10(k) > limit + 1:
+        raise too_long
     p = 1
     for _ in range(n - 2):
         p = k * (1 + p)
+    if limit and p >= 10 ** limit:
+        raise too_long
     return p
 
 

@@ -1,5 +1,6 @@
-"""Input makers shared by the test suites: random words, and the JSON and
-DIMACS texts of instances and formulas built in memory."""
+"""Input makers and small readers shared by the test suites: random words,
+the JSON and DIMACS texts of bands, instances and formulas built in memory,
+and whether a formula has an empty clause."""
 
 import json
 
@@ -8,6 +9,12 @@ def random_word(rng, max_var: int, max_len: int) -> tuple[int, ...]:
     """A nonempty random word over x1..x_max_var."""
     length = rng.randint(1, max_len)
     return tuple(rng.randint(1, max_var) for _ in range(length))
+
+
+def band_to_json(band) -> str:
+    """A Band in the JSON band format (1-based labels)."""
+    table = [[v + 1 for v in row] for row in band.table]
+    return json.dumps({"order": band.order, "table": table})
 
 
 def instance_to_json(inst) -> str:
@@ -25,3 +32,8 @@ def format_dimacs(sat) -> str:
     for clause in sat.clauses:
         lines.append(" ".join(str(l) for l in sorted(clause, key=abs)) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def has_empty_clause(sat) -> bool:
+    """Does the SatInstance hold an empty clause, which makes it unsatisfiable?"""
+    return any(not c for c in sat.clauses)

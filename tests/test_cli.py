@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import time
 
 import pytest
 
@@ -250,26 +251,30 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1 and kind in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text", [
-        "1 2\nx2\n3\n4\n",
-        '{"n": 1, "target": [4]}',
-        '{"n": 1, "generators": [[2], [3]], "tar',
-        '{"n": 1e400, "generators": [[2], [3]], "target": [4]}',
-        "",
-        "1\n2\n4\n",
-        "1 3\n2\n3\n4\n",
-        '{"n": 1, "generators": [[2.9], [3]], "target": [4]}',
-        '{"n": 1, "generators": [[2.0], [3]], "target": [4]}',
-        '{"n": 1, "generators": [[true], [3]], "target": [4]}',
-        '{"n": 1.5, "generators": [[2], [3]], "target": [4]}',
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\nx2\n3\n4\n", ""),
+        ('{"n": 1, "target": [4]}', ""),
+        ('{"n": 1, "generators": [[2], [3]], "tar', ""),
+        ('{"n": 1e400, "generators": [[2], [3]], "target": [4]}', ""),
+        ("", ""),
+        ("1\n2\n4\n", ""),
+        ("1 3\n2\n3\n4\n", ""),
+        ('{"n": 1, "generators": [[2.9], [3]], "target": [4]}', ""),
+        ('{"n": 1, "generators": [[2.0], [3]], "target": [4]}', ""),
+        ('{"n": 1, "generators": [[true], [3]], "target": [4]}', ""),
+        ('{"n": 1.5, "generators": [[2], [3]], "target": [4]}', ""),
+        ('{"n": -1, "generators": [], "target": [4]}', "ParseError: instance arity -1 outside"),
+        ('{"n": %d, "generators": [], "target": [4]}' % 10**20,
+         f"ParseError: instance arity {10**20} outside"),
     ], ids=["non-integer token", "no generators key", "truncated JSON", "1e400",
             "empty file", "short header", "generator count", "float label",
-            "integral float label", "bool label", "float n"])
-    def test_instance_file(self, capsys, tmp_path, text):
+            "integral float label", "bool label", "float n", "negative n", "huge n"])
+    def test_instance_file(self, capsys, tmp_path, text, message):
         path = tmp_path / "inst.txt"
         path.write_text(text)
         code, _, err = run(capsys, "smp", "--catalog", "S10", "--instance", str(path))
         self.assert_one_line_error(code, err, "ParseError")
+        assert message in err
 
     @pytest.mark.parametrize("text", [
         "2\n1 1\n2 x\n",
@@ -368,6 +373,14 @@ class TestWords:
         assert out == "3 1 2\n"
         _, out, _ = run(capsys, "words", "pbound", "--n", "4", "--k", "3")
         assert out == "21\n"
+
+    def test_pbound_too_long_to_print_fails_fast(self, capsys):
+        # the digit count is known before the n - 2 products, which would
+        # take minutes here
+        start = time.perf_counter()
+        code, out, err = run(capsys, "words", "pbound", "--n", "10000000", "--k", "2")
+        assert code == 2 and out == "" and "UnsupportedIndex" in err
+        assert time.perf_counter() - start < 2.0
 
     def test_pbound_at_large_n(self, capsys):
         # p_n(2) = 2 + 4 + ... + 2^(n-3) + 2 * 2^(n-2) = 3 * 2^(n-2) - 2

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from bandsmp import catalog, format_instance, parse_instance
 from bandsmp.cli import main
 
-from helpers import instance_to_json
+from helpers import band_to_json, instance_to_json
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=120)
 
@@ -70,7 +70,7 @@ def one_non_integer(draw, bases):
 
 
 _BANDS = [catalog(name) for name in ("LZ(2)", "SL-chain(3)", "Rect(2,2)")]
-JSON_BANDS = [b.to_json() for b in _BANDS]
+JSON_BANDS = [band_to_json(b) for b in _BANDS]
 BAND_TEXTS = [b.to_text() for b in _BANDS] + JSON_BANDS
 
 _INSTANCES = [parse_instance(text, catalog("S10"))

@@ -22,7 +22,7 @@ from bandsmp import (
 )
 from bandsmp.errors import DimacsSyntaxError, NotAWitness, NotAWitnessingWord
 
-from helpers import format_dimacs
+from helpers import format_dimacs, has_empty_clause
 from oracles import naive_sat
 
 S9_WITNESS = Witness(d=5, e=2, x=1, y=4, h=0)
@@ -56,7 +56,7 @@ class TestParseDimacs:
 
     def test_empty_clause_marker(self):
         sat = parse_dimacs("p cnf 1 2\n1 0\n0\n")
-        assert sat.has_empty_clause
+        assert has_empty_clause(sat)
 
     def test_bad_literal(self):
         with pytest.raises(DimacsSyntaxError) as exc:

@@ -1,6 +1,7 @@
 """The infix/suffix solvers and the membership decision procedures."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -178,14 +179,15 @@ class TestSuffixInvariant:
         core = smp._cp_infix_core
         calls = 0
 
-        def checked(band, A, c, d, e, stats):
-            # the core takes a (k, n) generator array and index vectors
+        def checked(band, A, sub, c, d, e, stats, hits):
+            # the core takes a (k, n) generator array, the boolean k-vector of
+            # the rows it searches, and index vectors
             nonlocal calls
             calls += 1
-            members = tuple(tuple(row) for row in A.tolist())
+            members = tuple(tuple(row) for row in A[sub].tolist())
             CpInfixInstance(c=tuple(c.tolist()), d=tuple(d.tolist()), e=tuple(e.tolist()),
                             gens=GenSet(band=band, n=len(c), members=members))
-            return core(band, A, c, d, e, stats)
+            return core(band, A, sub, c, d, e, stats, hits)
 
         monkeypatch.setattr(smp, "_cp_infix_core", checked)
         rng = random.Random(11)
@@ -210,6 +212,12 @@ class TestSuffixInvariant:
 
 # -- the per-coordinate solvers, kept as the referee of the array-backed ones ---
 
+#: how often the referee's infix search took the branches that the array-backed
+#: core orders differently: a miss at y = a0 (the core searches for s only then),
+#: an a0 abandoned because no s fits, and a hit from an a0 other than the first
+REF_EVENTS = Counter()
+
+
 def _ref_leq(mat, a, b):
     return all(mat[x][y] for x, y in zip(a, b))
 
@@ -221,7 +229,7 @@ def _ref_infix_core(band, A, c, d, e, stats):
     m = band.order
     bound = n * (band.height() - 1)
 
-    for a0 in A:
+    for index, a0 in enumerate(A):
         da0 = mul_tuple(band, d, a0)
         s_coords = []
         for i in range(n):
@@ -234,6 +242,9 @@ def _ref_infix_core(band, A, c, d, e, stats):
             else:
                 break
         if len(s_coords) < n:
+            # no a1 >=_J e can then hit at y = a0 either
+            REF_EVENTS["miss at a0"] += 1
+            REF_EVENTS["no s fits"] += 1
             continue
         s = mul_tuple(band, a0, tuple(s_coords))
         y = a0
@@ -245,10 +256,12 @@ def _ref_infix_core(band, A, c, d, e, stats):
                         mul_tuple(band, mul_tuple(band, dy, a1), e) == c:
                     if stats is not None:
                         stats.record_infix_pass(body_count)
+                    REF_EVENTS["later a0 hits"] += index > 0
                     result = mul_tuple(band, y, a1)
                     if mul_tuple(band, mul_tuple(band, d, result), e) != c:
                         raise AssertionError("infix solver returned an unverified solution")
                     return result
+            REF_EVENTS["miss at a0"] += body_count == 0
             above = [a for a in A if _ref_leq(leq_j, y, a)]
             below = [a for a in A if not _ref_leq(leq_j, y, a)]
             pair = _ref_first_pair(band, dy, above, below, s, c, e)
@@ -349,7 +362,26 @@ class TestArraySolversAgainstReferee:
         assert outcomes[0] == outcomes[1], (band.name, gens, target)
         return outcomes[0]
 
-    def test_seeded_instances_on_the_catalog(self):
+    @staticmethod
+    def count_changed_rows(monkeypatch) -> Counter:
+        """Spy on the miss counters: how often a mask after the first changed
+        one row of several, and how often every row of several."""
+        changed = Counter()
+        matches = smp._Misses.matches
+
+        def spy(self, mask):
+            if self.mask is not None:
+                rows, n = int((mask != self.mask).any(1).sum()), len(mask)
+                changed["one row"] += rows == 1 < n
+                changed["every row"] += rows == n > 1
+            return matches(self, mask)
+
+        monkeypatch.setattr(smp._Misses, "matches", spy)
+        return changed
+
+    def test_seeded_instances_on_the_catalog(self, monkeypatch):
+        REF_EVENTS.clear()
+        changed = self.count_changed_rows(monkeypatch)
         rng = random.Random(12)
         infix_max = suffix_max = 0
         for name in CATALOG_EXAMPLES:
@@ -371,6 +403,9 @@ class TestArraySolversAgainstReferee:
                     suffix_max, infix_max = max(suffix_max, suffix), max(infix_max, infix)
         assert suffix_max >= 3
         assert infix_max >= 1  # the pair search has run
+        for event in ("miss at a0", "no s fits", "later a0 hits"):
+            assert REF_EVENTS[event] >= 1, event
+        assert changed["one row"] >= 1 and changed["every row"] >= 1
 
     @pytest.mark.parametrize("block_bytes", [smp._BLOCK_BYTES, 1, 200])
     def test_pair_search_takes_the_first_pair_in_row_major_order(self, monkeypatch,
@@ -411,6 +446,16 @@ class TestArraySolversAgainstReferee:
             assert (x == target) == member
             assert suffix == n * (m - 1) - (0 if member else 1)
 
+    def test_staircase_at_arity_200(self):
+        # one step per generator, each changing x in one coordinate
+        m, n = 3, 200
+        band = chain_semilattice(m)
+        gens, target = staircase(m, n, True)
+        stats = LoopStats()
+        assert smp_decide_poly(SmpInstance(GenSet.of(band, gens), target), stats=stats)
+        assert stats.witness_pair == (target, target)  # 0 is alone in its L- and R-class
+        assert stats.suffix_call_max == n * (m - 1)
+
 
 class TestSmpDecide:
     def test_member_product(self, s10):
@@ -440,6 +485,11 @@ class TestSmpDecide:
     def test_zero_arity(self, s10):
         inst = SmpInstance(GenSet.of(s10, [()], n=0), ())
         assert smp_decide_poly(inst) is True
+
+    def test_no_generators(self, s10):
+        gens = GenSet(band=s10, n=2, members=())
+        assert smp_decide_poly(SmpInstance(gens, (3, 4))) is False
+        assert cp_suffix(gens, (3, 4)) is None
 
     @pytest.mark.parametrize("name", ["S10", "Rect(3,4)", "SL-chain(4)"])
     def test_agrees_with_oracle(self, name):
