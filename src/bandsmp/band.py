@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -115,17 +114,12 @@ class Band:
             for b in members:
                 j_class_of[b] = len(classes)
             classes.append(members)
-        reps = [cls[0] for cls in classes]
-
-        @lru_cache(maxsize=None)
-        def chain_below(i: int) -> int:
-            best = 1
-            for j, r in enumerate(reps):
-                if j != i and leq_j[r, reps[i]] and not leq_j[reps[i], r]:
-                    best = max(best, 1 + chain_below(j))
-            return best
-
-        height = max(chain_below(i) for i in range(len(reps)))
+        # longest strict J-chains; what is strictly J-below a has a smaller down-set
+        under = leq_j.T & ~leq_j  # under[a, b]: b strictly J-below a
+        h = np.ones(m, np.intp)
+        for a in np.argsort(leq_j.sum(0), kind="stable"):
+            h[a] = 1 + h[under[a]].max(initial=0)
+        height = int(h.max())
         eq_l = leq_l & leq_l.T
         for mat in (t, leq_l, eq_l, leq_r, leq_j):
             mat.setflags(write=False)

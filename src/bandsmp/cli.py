@@ -183,17 +183,15 @@ def _set_worker_band(band: band_mod.Band) -> None:
 
 
 def _decide_entry(source, algo, force, cap, band=None):
-    """One batch line (name, verdict, error) for a (name, text) source over
-    band, by default the worker's; a text of None is read from the file
-    name, so an unreadable file gets its own error line."""
+    """(name, verdict, stats_lines, json_obj, error) for a (name, text)
+    source over band, by default the worker's; a text of None is read from
+    the file name, so an unreadable file gets its own error."""
     name, text = source
     try:
-        verdict, _, _ = _decide_one(band or _worker_band,
-                                    _read(name) if text is None else text,
-                                    algo, force, cap)
-        return name, verdict, None
+        text = _read(name) if text is None else text
+        return (name, *_decide_one(band or _worker_band, text, algo, force, cap), None)
     except (BandSmpError, OSError) as exc:
-        return name, "error", f"{type(exc).__name__}: {exc}"
+        return name, "error", [], None, f"{type(exc).__name__}: {exc}"
 
 
 def _cmd_smp(args) -> int:
@@ -205,20 +203,6 @@ def _cmd_smp(args) -> int:
     if not sources:
         raise BandSmpError("no instance given: use --instance FILE or --inline TEXT")
 
-    if len(sources) == 1:
-        name, text = sources[0]
-        text = _read(name) if text is None else text
-        verdict, lines, obj = _decide_one(band, text, args.algo, args.force, cap)
-        if args.json:
-            print(json.dumps(obj))
-        else:
-            print(verdict)
-            if args.stats:
-                for ln in lines:
-                    print(ln)
-        return _verdict_code(verdict)
-
-    # batch mode: one verdict line per instance, order preserved
     jobs = min(args.jobs, len(sources), os.cpu_count() or 1)
     decide = partial(_decide_entry, algo=args.algo, force=args.force, cap=cap)
     if jobs > 1:
@@ -229,18 +213,27 @@ def _cmd_smp(args) -> int:
             results = list(pool.map(decide, sources))
     else:
         results = [decide(source, band=band) for source in sources]
-    if args.json:
+
+    if len(results) == 1:  # one instance: its verdict, stats or JSON object
+        _, verdict, lines, obj, err = results[0]
+        if err:
+            print(f"error: {err}", file=sys.stderr)
+        elif args.json:
+            print(json.dumps(obj))
+        else:
+            print(verdict, *(lines if args.stats else []), sep="\n")
+    elif args.json:  # a batch: one verdict line per instance, order preserved
         print(json.dumps({
             "results": [
                 {"instance": name, "verdict": verdict, "error": err}
-                for name, verdict, err in results
+                for name, verdict, _, _, err in results
             ]
         }))
     else:
-        for name, verdict, err in results:
+        for name, verdict, _, _, err in results:
             suffix = f" ({err})" if err else ""
             print(f"{name}\t{verdict}{suffix}")
-    return max(_verdict_code(v) for _, v, _ in results)
+    return max(_verdict_code(v) for _, v, *_ in results)
 
 
 def _cmd_words(args) -> int:

@@ -15,6 +15,7 @@ one-tuple-at-a-time BFS.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -83,10 +84,20 @@ class GenSet:
             n = len(members[0])
         return cls(band=band, n=n, members=members)
 
-    def check_target(self, b: Sequence[int]) -> None:
-        """Raise ArityMismatch unless b has the generators' arity."""
-        if len(b) != self.n:
-            raise ArityMismatch(f"target arity {len(b)} != generator arity {self.n}")
+    def row(self, t: Sequence[int]) -> np.ndarray:
+        """t checked as members are, for arity and then range, into a read-only intp row."""
+        if len(t) != self.n:
+            raise ArityMismatch(f"target arity {len(t)} != generator arity {self.n}")
+        m = self.band.order
+        try:
+            row = np.fromiter(t, np.intp, self.n)
+        except OverflowError:  # a coordinate beyond intp, which is out of range
+            row = np.array(t, dtype=object)
+        outside = (row < 0) | (row >= m)
+        if outside.any():
+            raise OutOfRange(f"coordinate {t[int(outside.argmax())] + 1} outside 1..{m}")
+        row.setflags(write=False)
+        return row
 
     def __len__(self) -> int:
         return len(self.members)
@@ -97,16 +108,14 @@ class GenSet:
 
 @dataclass(frozen=True)
 class SmpInstance:
-    """A subpower membership instance: generators A and target b in S^n."""
+    """A subpower membership instance: generators A, target b in S^n, b's row."""
 
     gens: GenSet
     target: ElementTuple
+    row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gens.check_target(self.target)
-        for v in self.target:
-            if not 0 <= v < self.gens.band.order:
-                raise OutOfRange(f"coordinate {v + 1} outside 1..{self.gens.band.order}")
+        object.__setattr__(self, "row", self.gens.row(self.target))
 
     @property
     def band(self) -> Band:
@@ -244,15 +253,14 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     """
     table, n = gens.band.array, gens.n
     m, k = gens.band.order, len(gens)
+    target = None
     if stop_at is not None:
-        gens.check_target(stop_at)
-        if not all(0 <= v < m for v in stop_at):
-            stop_at = None  # outside S^n, so never found
-    target = None if stop_at is None else np.array(stop_at, dtype=table.dtype)
+        with suppress(OutOfRange):  # a target outside S^n is never found
+            target = gens.row(stop_at).astype(table.dtype)
     gens = gens.rows.astype(table.dtype)
     if n == 0:  # () is stored as the 1-tuple (0,), which 0·0 = 0 keeps closed
         gens = np.zeros((k, 1), table.dtype)
-        target = None if stop_at is None else np.zeros(1, table.dtype)
+        target = None if target is None else np.zeros(1, table.dtype)
     width = gens.shape[1]
     found = _Closure(width, table.dtype)
     if target is not None:

@@ -257,12 +257,6 @@ class EmbeddingReport:
     def any_embedding(self) -> bool:
         return any(emb is not None for _, _, emb in self.entries)
 
-    def embedding(self, case: str, orientation: str) -> Optional[tuple[int, ...]]:
-        for c, o, emb in self.entries:
-            if c == case and o == orientation:
-                return emb
-        raise KeyError((case, orientation))
-
 
 def embeds_forbidden(band: Band, size_bound: int = 17) -> EmbeddingReport:
     """For each forbidden band and orientation, an embedding or None.

@@ -76,15 +76,12 @@ class CpInfixInstance:
 
     def __post_init__(self):
         leq_j = self.gens.band.green.leq_j
-        n = self.gens.n
-        for label, t in (("c", self.c), ("d", self.d), ("e", self.e)):
-            if len(t) != n:
-                raise PreconditionViolated(f"{label} has arity {len(t)}, expected {n}")
-        if not (leq_cw(leq_j, self.c, self.d) and leq_cw(leq_j, self.d, self.c)):
+        c, d, e = map(self.gens.row, (self.c, self.d, self.e))
+        if not (leq_cw(leq_j, c, d) and leq_cw(leq_j, d, c)):
             raise PreconditionViolated("c J d componentwise")
-        if not leq_cw(leq_j, self.d, self.e):
+        if not leq_cw(leq_j, d, e):
             raise PreconditionViolated("d <=_J e componentwise")
-        if not leq_cw(leq_j, self.e, self.gens.rows).all():
+        if not leq_cw(leq_j, e, self.gens.rows).all():
             raise PreconditionViolated("e <=_J a componentwise for every a in A")
 
     @property
@@ -99,10 +96,6 @@ def _require_lambda(band: Band, force: bool) -> None:
         raise LambdaNotSatisfied(
             "band fails the quasiidentity scan; pass force=True for a sound-only run"
         )
-
-
-def _row(t: ElementTuple) -> np.ndarray:
-    return np.array(t, dtype=np.intp)
 
 
 def _tuple(row: Optional[np.ndarray]) -> Optional[ElementTuple]:
@@ -144,7 +137,7 @@ def cp_infix(
     sound unconditionally.
     """
     _require_lambda(inst.band, force)
-    c, d, e = map(_row, (inst.c, inst.d, inst.e))
+    c, d, e = map(inst.gens.row, (inst.c, inst.d, inst.e))
     A = inst.gens.rows
     return _tuple(_cp_infix_core(inst.band, A, np.ones(len(A), bool), c, d, e, stats,
                                  _Misses(A)))
@@ -230,8 +223,7 @@ def cp_suffix(
     generators lying J-above the current x.
     """
     _require_lambda(gens.band, force)
-    gens.check_target(b)
-    return _tuple(_cp_suffix_core(gens.band, gens.rows, _row(b), stats))
+    return _tuple(_cp_suffix_core(gens.band, gens.rows, gens.row(b), stats))
 
 
 def _cp_suffix_core(band: Band, A: np.ndarray, b: np.ndarray,
@@ -296,7 +288,7 @@ def smp_decide_poly(
         )
     if stats is not None:
         stats.bound = inst.gens.n * (band.height() - 1)
-    A, b = inst.gens.rows, _row(inst.target)
+    A, b = inst.gens.rows, inst.row
     x = _cp_suffix_core(band, A, b, stats)
     if x is None:
         return False

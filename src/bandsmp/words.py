@@ -76,31 +76,47 @@ def dual_word(w: Word) -> Word:
 
 
 def h_n(n: int, w: Word) -> Word:
-    """The normal-form word map h_n; h_n(w) = h_n(s(w)) sigma(w) dual(h_{n-1}(dual w))."""
+    """The normal-form word map h_n; h_n(w) = h_n(s(w)) sigma(w) dual(h_{n-1}(dual w)).
+
+    Both recursions are loops over a stack of letters and (n, w, dualize)
+    calls. With s-cuts w_0 = w, w_{j+1} = s(w_j), h_n(w) is sigma(w_j)
+    dual(h_{n-1}(dual w_j)) over j = L..0, and its dual the reverse.
+    """
     if n < 2:
         raise UnsupportedIndex(f"h_n is defined for n >= 2, got {n}")
-    w = tuple(w)
-    if not w:
-        return ()
-    if n == 2:
-        return (w[0],)
-    return h_n(n, left_cut_s(w)) + sigma(w) + dual_word(h_n(n - 1, dual_word(w)))
+    out, stack = [], [(n, tuple(w), False)]
+    while stack:
+        entry = stack.pop()
+        if not isinstance(entry, tuple):
+            out.append(entry)
+            continue
+        n, w, dualize = entry
+        if n == 2:
+            out += w[:1]  # h_2(w) is the first letter of w
+            continue
+        pieces = []  # pushed in reverse of the order they come out in
+        while w:
+            cut = left_cut_s(w)
+            pieces += [(n - 1, dual_word(w), not dualize), w[len(cut)]]
+            w = cut
+        stack += reversed(pieces) if dualize else pieces
+    return tuple(out)
 
 
 def length_bound_p(n: int, k: int) -> int:
-    """Length bound for h_n on words over k variables: p_2 = 1, p_{n+1}(k) = k(1 + p_n(k))."""
+    """Length bound for h_n on words over k variables: p_2 = 1, p_{n+1}(k) = k(1 + p_n(k)),
+    so p_n(1) = n - 1 and p_n(k) = (k^(n-1) - k)/(k - 1) + k^(n-2) for k >= 2."""
     if n < 2:
         raise UnsupportedIndex(f"p_n is defined for n >= 2, got {n}")
     if k < 1:
         raise UnsupportedIndex(f"k must be positive, got {k}")
-    # refuse what str() would; p_n(k) >= k^(n-2) tells most before the loop
+    # refuse what str() would; p_n(k) >= k^(n-2) tells most before the power
     limit = sys.get_int_max_str_digits()
     too_long = UnsupportedIndex(f"p_{n}({k}) cannot be printed: more than {limit} digits")
     if limit and (n - 2) * math.log10(k) > limit + 1:
         raise too_long
-    p = 1
-    for _ in range(n - 2):
-        p = k * (1 + p)
+    q = k ** (n - 2)
+    p = n - 1 if k == 1 else (q * k - k) // (k - 1) + q
     if limit and p >= 10 ** limit:
         raise too_long
     return p

@@ -356,6 +356,11 @@ class TestWords:
         code, out, _ = run(capsys, "words", "hn", "--n", "3", "2 1")
         assert code == 0 and out == "2 2 1 1\n"
 
+    def test_hn_at_large_n(self, capsys):
+        # h_n of one letter is n - 1 copies of it, one recursion on n - 1 each
+        code, out, _ = run(capsys, "words", "hn", "--n", "1200", "1")
+        assert code == 0 and out == " ".join(["1"] * 1199) + "\n"
+
     def test_dual(self, capsys):
         _, out, _ = run(capsys, "words", "dual", "3 1 2")
         assert out == "2 1 3\n"
@@ -375,8 +380,7 @@ class TestWords:
         assert out == "21\n"
 
     def test_pbound_too_long_to_print_fails_fast(self, capsys):
-        # the digit count is known before the n - 2 products, which would
-        # take minutes here
+        # the digit count is known before the power is formed
         start = time.perf_counter()
         code, out, err = run(capsys, "words", "pbound", "--n", "10000000", "--k", "2")
         assert code == 2 and out == "" and "UnsupportedIndex" in err

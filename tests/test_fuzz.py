@@ -6,7 +6,7 @@ exit 1 would be a wrong answer. The texts are valid band, instance and
 DIMACS files with a few tokens replaced (by 0, negatives, ints of 2**63 and
 more, non-integers, JSON fragments, 1e400) or cut short; the word arguments
 are built from the same tokens. `words hn` and `words pbound` get a fixed
---n: hn recurses once per unit of n, and pbound loops n times.
+--n: hn's output has about n³/6 letters for three variables.
 
 A JSON band or instance file with a float or a bool where an integer
 belongs must be refused, even where int() would read it as a valid label.

@@ -94,6 +94,19 @@ class TestGenSet:
         with pytest.raises(ArityMismatch):
             SmpInstance(GenSet.of(s9, [(0, 0)]), (0,))
 
+    def test_row_checks_one_tuple_as_members_are_checked(self, s10):
+        gens = GenSet.of(s10, [(9, 1), (2, 3)])
+        row = gens.row((1, 9))
+        assert row.dtype == np.intp and not row.flags.writeable and row.tolist() == [1, 9]
+        assert SmpInstance(gens, (1, 9)).row.tolist() == [1, 9]
+        assert GenSet.of(s10, [()], n=0).row(()).shape == (0,)
+        for b in [(1,), (1, 2, 3), (10,)]:  # arity before range
+            with pytest.raises(ArityMismatch, match="target arity"):
+                gens.row(b)
+        for b, v in [((-1, 1), 0), ((10, 1), 11), ((1, 2**64), 2**64 + 1)]:
+            with pytest.raises(OutOfRange, match=f"coordinate {v} outside 1..10"):
+                gens.row(b)
+
     def test_rows_are_the_members(self, s10):
         gens = GenSet.of(s10, [(1, 0, 9), (2, 9, 4)])
         assert gens.rows.dtype == np.intp and not gens.rows.flags.writeable

@@ -27,10 +27,12 @@ from bandsmp import (
 )
 from bandsmp import smp
 from bandsmp.errors import (
+    ArityMismatch,
     EmptyWord,
     IndexOutOfRange,
     LambdaNotSatisfied,
     NotTractable,
+    OutOfRange,
     PreconditionViolated,
 )
 from bandsmp.power import leq_cw
@@ -77,6 +79,17 @@ class TestCpInfixInstance:
     def test_generator_below_e(self, s9):
         with pytest.raises(PreconditionViolated):
             CpInfixInstance(c=(7,), d=(5,), e=(2,), gens=GenSet.of(s9, [(5,)]))
+
+    def test_tuples_outside_the_band(self, s10):
+        # -1 would index the last element, so (-1, -1) would pass the J tests
+        with pytest.raises(OutOfRange):
+            CpInfixInstance(c=(-1, -1), d=(-1, -1), e=(-1, -1), gens=GenSet.of(s10, [(9, 9)]))
+
+    def test_wrong_arity(self, s9):
+        gens = GenSet.of(s9, [(0,)])
+        for c, d, e in [((7, 7), (5,), (2,)), ((7,), (5, 5), (2,)), ((7,), (5,), ())]:
+            with pytest.raises(ArityMismatch):
+                CpInfixInstance(c=c, d=d, e=e, gens=gens)
 
 
 class TestCpInfix:
@@ -147,6 +160,13 @@ class TestCpSuffix:
 
     def test_no_suffix(self, s10):
         assert cp_suffix(GenSet.of(s10, [(0,)]), (5,)) is None
+
+    def test_target_outside_the_band(self, s10):
+        # not labels of S10; numpy indexing would read -1 as element 10
+        gens = GenSet.of(s10, [(9, 1), (2, 3)])
+        for b in [(-1, 1), (10, 1)]:
+            with pytest.raises(OutOfRange):
+                cp_suffix(gens, b)
 
     def test_contract(self, s10):
         rng = random.Random(1)

@@ -1,6 +1,9 @@
 """Word operators, the h_n normal form, G/H/I literals, identity checking."""
 
+import itertools
 import random
+import sys
+import time
 
 import pytest
 
@@ -95,6 +98,20 @@ class TestHn:
             for n in (2, 3, 4):
                 assert len(h_n(n, w)) <= length_bound_p(n, k)
 
+    def test_loops_match_the_recursive_definition(self):
+        def recursive(n, w):
+            if not w:
+                return ()
+            if n == 2:
+                return (w[0],)
+            return (recursive(n, left_cut_s(w)) + sigma(w)
+                    + dual_word(recursive(n - 1, dual_word(w))))
+
+        for length in range(6):
+            for w in itertools.product((1, 2, 3), repeat=length):
+                for n in range(2, 7):
+                    assert h_n(n, w) == recursive(n, w), (n, w)
+
 
 class TestLengthBound:
     def test_base_case(self):
@@ -104,6 +121,29 @@ class TestLengthBound:
     def test_recursive_values(self):
         assert length_bound_p(3, 5) == 10
         assert length_bound_p(4, 3) == 21
+
+    def test_closed_form_matches_the_recurrence(self):
+        for k in range(1, 9):
+            p = 1
+            for n in range(2, 60):
+                assert length_bound_p(n, k) == p, (n, k)
+                p = k * (1 + p)
+
+    def test_k_one_at_huge_n(self):
+        start = time.perf_counter()
+        assert length_bound_p(10**9, 1) == 999_999_999
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("k, last", [(2, 14284), (3, 9013), (7, 5089), (10, 4301)])
+    def test_last_printable_n(self, k, last):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        try:
+            assert len(str(length_bound_p(last, k))) <= 4300
+            with pytest.raises(UnsupportedIndex, match="cannot be printed"):
+                length_bound_p(last + 1, k)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestGhiWords:
