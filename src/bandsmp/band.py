@@ -22,6 +22,7 @@ from .errors import (
     integer,
     labels,
     parsing,
+    read_file,
     read_text,
 )
 from .power import GenSet, _bfs
@@ -223,8 +224,7 @@ def parse_band_text(text: str, name: Optional[str] = None) -> Band:
 
 
 def load_band(path: str) -> Band:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_band_text(fh.read(), name=path)
+    return parse_band_text(read_file(path), name=path)
 
 
 # -- embedding search ----------------------------------------------------------
@@ -232,9 +232,7 @@ def load_band(path: str) -> Band:
 DEFAULT_EMBED_BOUND = 17
 
 
-def find_embedding(
-    small: Band, big: Band, size_bound: int = DEFAULT_EMBED_BOUND
-) -> Optional[tuple[int, ...]]:
+def find_embedding(small: Band, big: Band) -> Optional[tuple[int, ...]]:
     """Search for an injective homomorphism small -> big.
 
     Returns the image tuple (indexed by small's elements) or None. The least
@@ -244,9 +242,9 @@ def find_embedding(
     at least as large as its element's and agree in all three preorders with
     the images already set. Images are tried in ascending order.
     """
-    if small.order > size_bound:
+    if small.order > DEFAULT_EMBED_BOUND:
         raise SizeBoundExceeded(
-            f"small band has order {small.order}, bound is {size_bound}"
+            f"small band has order {small.order}, bound is {DEFAULT_EMBED_BOUND}"
         )
     if small.order > big.order:
         return None

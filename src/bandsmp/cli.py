@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import band as band_mod
 from . import power, quasi, reduction, smp, words
-from .errors import BandSmpError, OutOfRange, labels, parsing
+from .errors import BandSmpError, OutOfRange, labels, parsing, read_file
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -85,7 +85,7 @@ def _cmd_green(args) -> int:
 
 def _cmd_classify(args) -> int:
     band = _resolve_band(args)
-    result = quasi.classify(band, max_order=args.max_order)
+    result = quasi.classify(band)
     if args.json:
         print(json.dumps({
             "verdict": result.verdict,
@@ -168,11 +168,6 @@ def _verdict_code(verdict: str) -> int:
     return {"member": EXIT_TRUE, "non-member": EXIT_FALSE}.get(verdict, EXIT_ERROR)
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 #: the band of a batch worker process, set once by the pool's initializer
 _worker_band: Optional[band_mod.Band] = None
 
@@ -188,7 +183,7 @@ def _decide_entry(source, algo, force, cap, band=None):
     the file name, so an unreadable file gets its own error."""
     name, text = source
     try:
-        text = _read(name) if text is None else text
+        text = read_file(name) if text is None else text
         return (name, *_decide_one(band or _worker_band, text, algo, force, cap), None)
     except (BandSmpError, OSError) as exc:
         return name, "error", [], None, f"{type(exc).__name__}: {exc}"
@@ -282,7 +277,7 @@ def _cmd_words(args) -> int:
 
 def _cmd_reduce(args) -> int:
     band = _resolve_band(args)
-    sat = reduction.parse_dimacs(_read(args.cnf))
+    sat = reduction.parse_dimacs(read_file(args.cnf))
 
     classification = quasi.classify(band)
     if classification.lambda_witness is not None:
@@ -364,7 +359,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="tractability dichotomy verdict")
     _add_band_source(p)
-    p.add_argument("--max-order", type=int, default=quasi.DEFAULT_SCAN_ORDER_BOUND)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 

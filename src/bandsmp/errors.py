@@ -70,6 +70,13 @@ def read_text(text: str):
     return [list(map(int, ln.split())) for ln in lines if ln and not ln.startswith("#")]
 
 
+def read_file(path: str) -> str:
+    """The text of a band, instance or DIMACS file; one that is not UTF-8
+    is a ParseError naming the file."""
+    with open(path, encoding="utf-8") as fh, parsing(path):
+        return fh.read()
+
+
 def integer(value) -> int:
     """value if it is an int; a JSON 2.9, 2.0, true or "3" is refused, not
     read as 2, 2, 1 or 3."""
@@ -118,10 +125,6 @@ class ArityTooLarge(BandSmpError):
 
 
 # --- quasiidentities ---
-
-class BudgetExceeded(BandSmpError):
-    pass
-
 
 class NotAWitness(BandSmpError):
     pass

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
-from .band import Band, find_embedding
-from .errors import BudgetExceeded, NotAWitness, UnexpectedSize, UnknownName
+import numpy as np
 
-DEFAULT_SCAN_ORDER_BOUND = 64
+from .band import Band, find_embedding
+from .errors import NotAWitness, UnexpectedSize, UnknownName
+from .power import _BLOCK_BYTES
 
 FORBIDDEN_CASES = ("T9", "T13a", "T13b", "T17")
 
@@ -53,73 +54,67 @@ class Classification:
         return "TRACTABLE" if self.tractable else "NP-COMPLETE"
 
 
-def find_lambda_witness(
-    band: Band, max_order: int = DEFAULT_SCAN_ORDER_BOUND
-) -> Optional[Witness]:
+def find_lambda_witness(band: Band) -> Optional[Witness]:
     """Odometer-least witness quintuple against the quasiidentity, or None.
 
-    The S^5 scan enumerates (d, e, x, y, h) with h varying fastest; the
-    premise comparisons use both the cached J-preorder and the raw product
-    forms (ded = d etc.), which must agree.
+    The least (d, e, x, y, h), h varying fastest, in O(m^3) time. Over
+    blocks of e, the triples (d, e, x) with d <=_J e <=_J x, some h with
+    h x = x and h e = e, and d x e != d e are candidates; a block with
+    one builds reach[u, j, v], "some y with e_j <=_J y has u y e_j = v",
+    and keeps the candidates with reach[d x, j, d e]. A block holds as
+    many e as fit their m * m products in _BLOCK_BYTES, and at least one.
+    The J-preorder cache must agree with d e d = d.
     """
     m = band.order
-    if m > max_order:
-        raise BudgetExceeded(
-            f"order {m} exceeds the O(m^5) scan bound of {max_order}"
-        )
-    t = band.table
-    leq_j = band.green.leq_j.tolist()  # Python bools: scalar lookups in the loop
-    for d in range(m):
-        td = t[d]
-        for e in range(m):
-            ded = t[td[e]][d]
-            if (ded == d) != leq_j[d][e]:
-                raise AssertionError("J-preorder cache disagrees with d e d = d")
-            if ded != d:
-                continue
-            de = td[e]
-            te = t[e]
-            for x in range(m):
-                exe = t[te[x]][e]
-                if (exe == e) != leq_j[e][x]:
-                    raise AssertionError("J-preorder cache disagrees with e x e = e")
-                if exe != e:
-                    continue
-                dxe = t[td[x]][e]
-                if dxe == de:
-                    continue  # conclusion holds for every y, h
-                dx = td[x]
-                tdx = t[dx]
-                for y in range(m):
-                    if t[te[y]][e] != e:
-                        continue
-                    if t[tdx[y]][e] != de:
-                        continue
-                    for h in range(m):
-                        if t[h][x] == x and t[h][e] == e:
-                            return Witness(d, e, x, y, h)
-    return None
+    t = band.itable
+    idx = np.arange(m)
+    leq_j = band.green.leq_j
+    if not np.array_equal(leq_j, t[t, idx[:, None]] == idx[:, None]):
+        raise AssertionError("J-preorder cache disagrees with d e d = d")
+    fixes = (t == idx).astype(np.float32)  # fixes[h, x]: h x = x; float for BLAS, exact
+    hok = fixes.T @ fixes > 0  # hok[x, e]: some h fixes x and e
+    step = max(1, _BLOCK_BYTES // (m * m * t.itemsize))
+    best = None
+    for lo in range(0, m, step):
+        es = slice(lo, lo + step)  # e_j = lo + j
+        de = t[:, es]  # de[d, j] = d e_j
+        uye = de[t].transpose(0, 2, 1)  # uye[u, j, y] = u y e_j, and d x e_j at y = x
+        up = leq_j[es]  # up[j, x]: e_j <=_J x
+        cand = (uye != de[:, :, None]) & leq_j[:, es, None] & (up & hok[:, es].T)
+        if not cand.any():
+            continue
+        reach = np.zeros((m, len(up), m + 1), bool)  # column m takes the y not above e_j
+        reach[idx[:, None, None], idx[:len(up), None], np.where(up, uye, m)] = True
+        d, j, x = np.nonzero(cand)
+        ok = np.flatnonzero(reach[t[d, x], j, de[d, j]])
+        if ok.size:
+            k = ok[0]
+            found = (int(d[k]), lo + int(j[k]), int(x[k]))
+            if best is None or found < best:  # a later block can only win on d
+                best = found
+    if best is None:
+        return None
+    d, e, x = best
+    tab = band.table
+    y = next(y for y in range(m) if leq_j[e, y] and tab[tab[tab[d][x]][y]][e] == tab[d][e])
+    h = next(h for h in range(m) if tab[h][x] == x and tab[h][e] == e)
+    return Witness(d, e, x, y, h)
 
 
-def classify(band: Band, max_order: int = DEFAULT_SCAN_ORDER_BOUND) -> Classification:
+def classify(band: Band) -> Classification:
     """Tractable iff both quasiidentity scans pass; memoized per Band.
 
-    The reversed-word scan is the plain scan of the dual band. A band
-    over the order bound falls through to the scan, which raises, so a
-    memoized band answers as a fresh one would.
+    The reversed-word scan is the plain scan of the dual band.
     """
-    memo = getattr(band, "_classification", None)
-    if memo is not None and band.order <= max_order:
-        return memo
-    w = find_lambda_witness(band, max_order)
-    wd = find_lambda_witness(band.dual(), max_order)
-    result = Classification(
-        tractable=(w is None and wd is None),
-        lambda_witness=w,
-        lambda_dual_witness=wd,
-    )
-    band._classification = result
-    return result
+    if band._classification is None:
+        w = find_lambda_witness(band)
+        wd = find_lambda_witness(band.dual())
+        band._classification = Classification(
+            tractable=(w is None and wd is None),
+            lambda_witness=w,
+            lambda_dual_witness=wd,
+        )
+    return band._classification
 
 
 def is_witness(band: Band, w: Witness) -> bool:
@@ -258,7 +253,7 @@ class EmbeddingReport:
         return any(emb is not None for _, _, emb in self.entries)
 
 
-def embeds_forbidden(band: Band, size_bound: int = 17) -> EmbeddingReport:
+def embeds_forbidden(band: Band) -> EmbeddingReport:
     """For each forbidden band and orientation, an embedding or None.
 
     The overall flag matches the quasiidentity scans: some forbidden band
@@ -270,6 +265,6 @@ def embeds_forbidden(band: Band, size_bound: int = 17) -> EmbeddingReport:
     for case in FORBIDDEN_CASES:
         small = construct_forbidden_band(case)
         for orientation, target in (("S", band), ("dual", duals)):
-            emb = find_embedding(small, target, size_bound=size_bound)
+            emb = find_embedding(small, target)
             entries.append((case, orientation, emb))
     return EmbeddingReport(entries=tuple(entries))

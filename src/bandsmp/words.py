@@ -180,7 +180,6 @@ def eval_word(band: Band, w: Word, assignment: Sequence[int]) -> int:
 def satisfies_identity(
     band: Band,
     identity: Identity,
-    budget: int = DEFAULT_IDENTITY_BUDGET,
 ) -> Union[bool, tuple[int, ...]]:
     """Exhaustively check an identity; True, or the first counterexample.
 
@@ -191,7 +190,7 @@ def satisfies_identity(
     if not identity.lhs or not identity.rhs:
         raise EmptyWord("identity satisfaction needs both sides nonempty")
     variables = sorted(content(identity.lhs) | content(identity.rhs))
-    m = band.order
+    m, budget = band.order, DEFAULT_IDENTITY_BUDGET
     if m ** len(variables) > budget:
         raise ArityTooLarge(
             f"{m}^{len(variables)} assignments exceed the budget of {budget}"

@@ -1,8 +1,13 @@
 """Input makers and small readers shared by the test suites: random words,
 the JSON and DIMACS texts of bands, instances and formulas built in memory,
-and whether a formula has an empty clause."""
+whether a formula has an empty clause, and bands built as products and as
+subsemigroups of powers."""
 
 import json
+
+import numpy as np
+
+from bandsmp import Band, GenSet, closure
 
 
 def random_word(rng, max_var: int, max_len: int) -> tuple[int, ...]:
@@ -37,3 +42,21 @@ def format_dimacs(sat) -> str:
 def has_empty_clause(sat) -> bool:
     """Does the SatInstance hold an empty clause, which makes it unsatisfiable?"""
     return any(not c for c in sat.clauses)
+
+
+def subpower_band(band, gens) -> Band:
+    """The subsemigroup <gens> of band^n as a Band, its elements numbered in
+    closure() order."""
+    rows = np.array(closure(GenSet.of(band, gens)))
+    place = band.order ** np.arange(rows.shape[1])  # a tuple's code in base m
+    codes = rows @ place
+    order = np.argsort(codes)
+    products = band.itable[rows[:, None, :], rows[None, :, :]] @ place
+    return Band(order[np.searchsorted(codes, products, sorter=order)].tolist())
+
+
+def product_band(a, b) -> Band:
+    """a x b, the pair (i, j) numbered i * b.order + j."""
+    m = b.order
+    table = a.itable[:, None, :, None] * m + b.itable[None, :, None, :]
+    return Band(table.reshape(a.order * m, -1).tolist())

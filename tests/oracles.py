@@ -22,17 +22,16 @@ def naive_leq_r(table, a, b):
     return a == b or any(table[b][u] == a for u in range(m))
 
 
+def naive_j_ideal(table, b):
+    """S^1 b S^1: every u b v with u, v in S^1."""
+    m = len(table)
+    left = {b} | {table[u][b] for u in range(m)}
+    return left | {table[c][v] for c in left for v in range(m)}
+
+
 def naive_leq_j(table, a, b):
     """a <=_J b iff a = u b v with u, v in S^1."""
-    m = len(table)
-    if a == b:
-        return True
-    candidates = {b}
-    candidates.update(table[u][b] for u in range(m))
-    for c in candidates:
-        if c == a or any(table[c][v] == a for v in range(m)):
-            return True
-    return False
+    return a in naive_j_ideal(table, b)
 
 
 def naive_subsemigroup(table, gens):
@@ -87,6 +86,31 @@ def naive_is_witness(table, d, e, x, y, h):
         and naive_leq_j(table, e, y)
     )
     return premise and mul(d, x, e) != mul(d, e)
+
+
+def naive_lambda_witness(table):
+    """The odometer-least (d, e, x, y, h) that naive_is_witness accepts, or
+    None: the five-deep loop, h varying fastest, with a <=_J b read as
+    a in naive_j_ideal(table, b)."""
+    m = len(table)
+    t = table
+    ideal = [naive_j_ideal(table, b) for b in range(m)]
+    for d in range(m):
+        for e in range(m):
+            if d not in ideal[e]:
+                continue
+            de = t[d][e]
+            for x in range(m):
+                if e not in ideal[x] or t[t[d][x]][e] == de:
+                    continue
+                dx = t[d][x]
+                for y in range(m):
+                    if e not in ideal[y] or t[t[dx][y]][e] != de:
+                        continue
+                    for h in range(m):
+                        if t[h][x] == x and t[h][e] == e:
+                            return (d, e, x, y, h)
+    return None
 
 
 def naive_embedding_exists(small, big):

@@ -210,7 +210,7 @@ class TestEmbedding:
 
     def test_size_bound(self, s9):
         with pytest.raises(SizeBoundExceeded):
-            find_embedding(s9, s9, size_bound=5)
+            find_embedding(catalog("SL-chain(18)"), s9)
 
     # at most 12!/8! = 11,880 injective maps per pair for the exhaustive referee
     @pytest.mark.parametrize("small_name", [

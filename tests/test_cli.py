@@ -70,6 +70,9 @@ class TestClassify:
         _, second, _ = run(capsys, "classify", "--catalog", "S9")
         assert first == second
 
+    def test_order_256(self, capsys):
+        assert run(capsys, "classify", "--catalog", "Rect(16,16)") == (0, "TRACTABLE\n", "")
+
 
 class TestValidateAndGreen:
     def test_validate_catalog(self, capsys):
@@ -119,6 +122,10 @@ class TestSmp:
             "--inline", "1 1; 3; 4", "--algo", "poly",
         )
         assert code == 1 and out == "non-member\n"
+
+    def test_band_above_order_64(self, capsys):
+        code, out, _ = run(capsys, "smp", "--catalog", "SL-chain(70)", "--inline", "1 1; 5; 5")
+        assert code == 0 and out == "member\n"
 
     def test_stats_show_verified_pair(self, capsys):
         code, out, _ = run(
@@ -331,19 +338,35 @@ class TestMalformedInput:
         ok = tmp_path / "ok.smp"
         ok.write_text("1 2\n2\n3\n4\n")
         missing = str(tmp_path / "nonexistent.smp")
-        argv = ["smp", "--catalog", "S10", "--instance", str(ok), missing, str(tmp_path)]
+        not_utf8 = tmp_path / "utf16.smp"
+        not_utf8.write_bytes(b"\xff\xfe1\x002\x00")
+        argv = ["smp", "--catalog", "S10", "--instance", str(ok), missing, str(tmp_path),
+                str(not_utf8)]
         code, out, err = run(capsys, *argv, "--jobs", jobs)
         assert stand_in_pool == ([2] if jobs == "2" else [])
         lines = out.splitlines()
         assert lines[0] == f"{ok}\tmember"
         assert lines[1].startswith(f"{missing}\terror (FileNotFoundError: ")
         assert lines[2].startswith(f"{tmp_path}\terror (IsADirectoryError: ")
-        assert len(lines) == 3 and code == 2 and err == ""
+        assert lines[3].startswith(f"{not_utf8}\terror (ParseError: {not_utf8}: ")
+        assert len(lines) == 4 and code == 2 and err == ""
         assert run(capsys, *argv) == (code, out, err)  # serial output is the same
 
     def test_unreadable_single_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "smp", "--catalog", "S10", "--instance", str(tmp_path))
         self.assert_one_line_error(code, err, "IsADirectoryError")
+
+    @pytest.mark.parametrize("argv", [
+        ["smp", "--catalog", "S10", "--instance", "{f}"],
+        ["validate", "--band", "{f}"],
+        ["reduce", "--catalog", "S9", "--cnf", "{f}", "-o", "{f}.out"],
+    ], ids=["instance", "band", "cnf"])
+    def test_file_not_utf8(self, capsys, tmp_path, argv):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe1\x00")  # "1" in UTF-16 with its byte-order mark
+        code, out, err = run(capsys, *(a.format(f=path) for a in argv))
+        assert out == ""
+        self.assert_one_line_error(code, err, f"ParseError: {path}: 'utf-8' codec")
 
     def test_non_integer_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("BANDSMP_CAP", "abc")

@@ -10,6 +10,8 @@ are built from the same tokens. `words hn` and `words pbound` get a fixed
 
 A JSON band or instance file with a float or a bool where an integer
 belongs must be refused, even where int() would read it as a valid label.
+Files are also drawn as raw bytes: one that is not UTF-8 must exit 2 with
+a one-line ParseError naming it.
 """
 
 import io
@@ -80,6 +82,21 @@ INSTANCE_TEXTS = [format_instance(i) for i in _INSTANCES] + JSON_INSTANCES
 
 DIMACS_TEXTS = ["p cnf 3 2\n1 -2 0\n2 3 0\n", "c comment\np cnf 2 3\n1 0\n-1 2 0\n-2 0\n"]
 
+#: byte runs that are not UTF-8: a UTF-16 byte-order mark, a lone continuation
+#: byte, cut multibyte sequences, an overlong form, a surrogate, a byte above U+10FFFF
+NOT_UTF8 = [b"\xff\xfe", b"\x80", b"\xc3", b"\xe2\x82", b"\xc0\x80", b"\xed\xa0\x80",
+            b"\xf5\x80\x80\x80"]
+
+
+@st.composite
+def raw_bytes(draw, bases):
+    """A near-valid text of bases as UTF-8 with up to three byte runs inserted."""
+    data = bytearray(draw(near_valid(bases)).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = draw(st.one_of(st.sampled_from(NOT_UTF8), st.binary(max_size=3)))
+    return bytes(data)
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -146,6 +163,28 @@ def test_dimacs_files(workdir, text):
     path.write_text(text)
     assert_clean(["reduce", "--catalog", "S9", "--cnf", str(path),
                   "-o", str(workdir / "out.smp")])
+
+
+@FUZZ
+@given(kind=st.sampled_from(["band", "instance", "cnf"]), data=st.data())
+def test_raw_byte_files(workdir, kind, data):
+    path = workdir / f"raw.{kind}"
+    raw = data.draw(raw_bytes({"band": BAND_TEXTS, "instance": INSTANCE_TEXTS,
+                               "cnf": DIMACS_TEXTS}[kind]))
+    path.write_bytes(raw)
+    argv = {
+        "band": ["validate", "--band", str(path)],
+        "instance": ["smp", "--catalog", "S10", "--instance", str(path)],
+        "cnf": ["reduce", "--catalog", "S9", "--cnf", str(path), "-o", str(workdir / "out.smp")],
+    }[kind]
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        code, err = run_main(argv)
+        assert code == 2 and len(err.splitlines()) == 1, (raw, err)
+        assert err.startswith(f"error: ParseError: {path}: "), (raw, err)
+    else:
+        assert_clean(argv)
 
 
 @FUZZ

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from bandsmp import (
+    CATALOG_EXAMPLES,
     Band,
     Witness,
     canonical_forbidden_witness,
@@ -17,15 +18,49 @@ from bandsmp import (
     generated_T,
     is_witness,
     normalize_witness,
+    quasi,
 )
-from bandsmp.errors import BudgetExceeded, NotAWitness, UnknownName
+from bandsmp.errors import NotAWitness, UnknownName
 
 import oracles
+from helpers import product_band, subpower_band
 
 S9_WITNESS = Witness(d=5, e=2, x=1, y=4, h=0)  # 1-based (6, 3, 2, 5, 1)
 
 FAILING = ["S9", "T9", "T13a", "T13b", "T17"]
 PASSING = ["S10", "LZ(3)", "RZ(3)", "SL-chain(4)", "Rect(3,4)"]
+
+
+def catalog_derived():
+    """Each catalog band, its dual, its identity-adjoined form and the dual of that."""
+    for name in CATALOG_EXAMPLES:
+        band = catalog(name)
+        yield from (band, band.dual(), band.adjoin_identity(), band.adjoin_identity().dual())
+
+
+def zoo(rng, count):
+    """(base, planted, band) for count subsemigroups <A> of base^n, n = 2 or 3,
+    over random catalog bands. A holds three or four random tuples; or, for
+    half the draws over a base that fails a scan, one random tuple and the
+    diagonal copy of the base's witness, which then fails the same scan in
+    the band."""
+    for _ in range(count):
+        base = catalog(rng.choice(CATALOG_EXAMPLES))
+        n = rng.choice((2, 3))
+        gens = [tuple(rng.randrange(base.order) for _ in range(n)) for _ in range(4)]
+        c = classify(base)
+        w = c.lambda_witness or c.lambda_dual_witness
+        planted = w is not None and rng.random() < 0.5
+        if planted:
+            gens = gens[:1] + [(v,) * n for v in w.as_tuple()]
+        else:
+            gens = gens[:rng.choice((3, 4))]
+        yield base, planted, subpower_band(base, list(dict.fromkeys(gens)))
+
+
+def referee(band):
+    w = oracles.naive_lambda_witness(band.table)
+    return None if w is None else Witness(*w)
 
 
 class TestLambdaScan:
@@ -52,9 +87,47 @@ class TestLambdaScan:
         assert find_lambda_witness(band) is None
         assert find_lambda_witness(band.dual()) is None
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            find_lambda_witness(catalog("LZ(5)"), max_order=4)
+    # 1 byte makes each e its own block; 2,600 bytes give orders 9 to 11 blocks
+    # of 2 to 4 e and a shorter last block
+    @pytest.mark.parametrize("block_bytes", [quasi._BLOCK_BYTES, 1, 2600])
+    def test_matches_referee_on_catalog_derived_bands(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(quasi, "_BLOCK_BYTES", block_bytes)
+        for band in catalog_derived():
+            assert find_lambda_witness(band) == referee(band), band
+
+    @pytest.mark.parametrize("block_bytes", [quasi._BLOCK_BYTES, 1])
+    def test_matches_referee_on_relabelled_products(self, monkeypatch, block_bytes):
+        # relabelled, the least witness can have a smaller d than one that an
+        # earlier block of e holds
+        monkeypatch.setattr(quasi, "_BLOCK_BYTES", block_bytes)
+        rng = random.Random(2)
+        for name in FAILING:
+            t = product_band(catalog(name), catalog("SL-chain(2)")).table
+            for _ in range(5):
+                p = rng.sample(range(len(t)), len(t))  # element a becomes p[a]
+                inv = sorted(range(len(t)), key=p.__getitem__)
+                band = Band([[p[t[a][b]] for b in inv] for a in inv])
+                assert find_lambda_witness(band) == referee(band), (name, p)
+
+    @pytest.mark.parametrize("name", FAILING)
+    def test_h_is_needed(self, name):
+        # without its top element h the quintuple has no h, and no other witness exists
+        t = catalog(name).table
+        band = Band([[v - 1 for v in row[1:]] for row in t[1:]])
+        assert find_lambda_witness(band) is None
+        assert referee(band) is None
+
+    @pytest.mark.parametrize("name", ["Rect(16,16)", "SL-chain(256)"])
+    def test_order_256(self, name):
+        band = catalog(name)
+        assert find_lambda_witness(band) is None
+        assert find_lambda_witness(band.dual()) is None
+
+    def test_witness_in_a_product(self):
+        band = product_band(catalog("T9"), catalog("SL-chain(8)"))
+        w = find_lambda_witness(band)
+        assert band.order == 72 and w is not None
+        assert oracles.naive_is_witness(band.table, *w.as_tuple())
 
     @pytest.mark.parametrize("name", FAILING)
     def test_witness_is_genuine(self, name):
@@ -127,12 +200,6 @@ class TestClassify:
 
     def test_memoized_per_band(self, s10):
         assert classify(s10) is classify(s10)
-
-    def test_order_bound_checked_before_memo(self):
-        band = catalog("S10")
-        classify(band)
-        with pytest.raises(BudgetExceeded):
-            classify(band, max_order=5)
 
     @pytest.mark.parametrize("name", FAILING)
     def test_failing_catalog_bands(self, name):
@@ -278,3 +345,21 @@ class TestEmbedsForbidden:
     def test_flag_matches_classification(self, name):
         band = catalog(name)
         assert embeds_forbidden(band).any_embedding == (not classify(band).tractable)
+
+
+class TestZoo:
+    """The tractable bands form a quasivariety, so a subsemigroup of a power
+    of a tractable band is tractable, and one holding a copy of a band that
+    fails a scan fails it too."""
+
+    def test_quasivariety_closure(self):
+        for base, planted, band in zoo(random.Random(0), 100):
+            for b in (band, band.dual()):
+                assert find_lambda_witness(b) == referee(b), (base, b.table)
+                if classify(base).tractable:
+                    assert classify(b).tractable, (base, b.table)
+                if planted:
+                    assert not classify(b).tractable, (base, b.table)
+            # the report searches the band and its dual both
+            assert embeds_forbidden(band).any_embedding == (not classify(band).tractable), \
+                (base, band.table)

@@ -197,8 +197,9 @@ class TestSatisfiesIdentity:
         assert satisfies_identity(band, Identity((1, 2, 3), (1, 3))) is True
 
     def test_budget(self, s10):
+        # 10^8 assignments of eight variables, over the budget of 10^7
         with pytest.raises(ArityTooLarge):
-            satisfies_identity(s10, Identity((1, 2, 3), (3, 2, 1)), budget=10)
+            satisfies_identity(s10, Identity((1, 2, 3, 4, 5, 6, 7, 8), (8, 7, 6, 5, 4, 3, 2, 1)))
 
     @pytest.mark.parametrize("name", ["S9", "LZ(3)", "Rect(2,3)", "SL-chain(3)"])
     def test_matches_naive_oracle(self, name):
