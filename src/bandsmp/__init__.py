@@ -30,7 +30,6 @@ from .power import (
     member_closure_word,
     mul_tuple,
     parse_instance,
-    prod_tuples,
 )
 from .quasi import (
     Classification,
@@ -68,7 +67,6 @@ from .words import (
     length_bound_p,
     satisfies_identity,
     sigma,
-    word,
     word_from_text,
     word_to_text,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,7 +57,12 @@ class Band:
     """
 
     def __init__(self, table: Table, name: Optional[str] = None):
-        rows = [tuple(int(v) for v in row) for row in table]
+        try:
+            rows = [tuple(map(index, row)) for row in table]
+        except TypeError:  # 0.7 is refused, not read as 0
+            a, b, v = next((a, b, v) for a, row in enumerate(table) for b, v in enumerate(row)
+                           if not isinstance(v, (int, np.integer)))
+            raise OutOfRange(f"entry at ({a + 1},{b + 1}) is {v!r}, not an integer") from None
         m = len(rows)
         if m == 0:
             raise OutOfRange("a band must have at least one element")
@@ -350,6 +356,9 @@ def rectangular(p: int, q: int) -> Band:
     return Band(rows, name=f"Rect({p},{q})")
 
 
+#: the largest order a catalog family builds; its tables are Python lists
+MAX_CATALOG_ORDER = 2048
+
 _FAMILY_RE = re.compile(r"^(LZ|RZ|SL-chain)\((\d+)\)$")
 _RECT_RE = re.compile(r"^Rect\((\d+),(\d+)\)$")
 
@@ -376,8 +385,8 @@ def catalog(name: str) -> Band:
     m = _FAMILY_RE.match(name)
     if m:
         family, size = m.group(1), int(m.group(2))
-        if size < 1:
-            raise UnknownName(f"family size must be positive in {name!r}")
+        if not 1 <= size <= MAX_CATALOG_ORDER:
+            raise UnknownName(f"family size must be in 1..{MAX_CATALOG_ORDER} in {name!r}")
         if family == "LZ":
             return left_zero(size)
         if family == "RZ":
@@ -386,7 +395,7 @@ def catalog(name: str) -> Band:
     m = _RECT_RE.match(name)
     if m:
         p, q = int(m.group(1)), int(m.group(2))
-        if p < 1 or q < 1:
-            raise UnknownName(f"Rect dimensions must be positive in {name!r}")
+        if p < 1 or q < 1 or p * q > MAX_CATALOG_ORDER:
+            raise UnknownName(f"Rect(p,q) needs p, q >= 1 and pq <= {MAX_CATALOG_ORDER}: {name!r}")
         return rectangular(p, q)
     raise UnknownName(f"unknown catalog band {name!r}")

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import band as band_mod
 from . import power, quasi, reduction, smp, words
-from .errors import BandSmpError, OutOfRange, labels, parsing, read_file
+from .errors import BandSmpError, labels, parsing, read_file
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -255,9 +255,6 @@ def _cmd_words(args) -> int:
         w = words.word_from_text(args.word)
         with parsing("--assign"):
             assign = labels([int(v) for v in args.assign.split()])
-        for v in assign:
-            if not 0 <= v < band.order:
-                raise OutOfRange(f"--assign value {v + 1} outside 1..{band.order}")
         print(words.eval_word(band, w, assign) + 1)
     elif action == "identity":
         band = _resolve_band(args)
@@ -392,7 +389,7 @@ def build_parser() -> _Parser:
     wp.add_argument("--n", type=int, required=True)
     wp.add_argument("--k", type=int, required=True)
     wp = wsub.add_parser("ghi")
-    wp.add_argument("name", help="e.g. G3, H4, I2")
+    wp.add_argument("name", help="G, H or I and any n >= 2, e.g. G3, H4, I12")
     wp = wsub.add_parser("eval")
     _add_band_source(wp)
     wp.add_argument("--assign", required=True, help="1-based elements for x1 x2 ...")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import index
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,20 @@ ElementTuple = tuple[int, ...]
 
 DEFAULT_CAP = 5_000_000
 MAX_ARITY = int(np.iinfo(np.intp).max)
+
+
+def _refusal(t: Sequence, m: int) -> Optional[str]:
+    """Why the first coordinate of t that is not an integer in 0..m-1 is
+    refused, or None. An int or a numpy integer is an integer; 1.9 is
+    refused, not read as 1."""
+    for v in t:
+        try:
+            v = index(v)
+        except TypeError:
+            return f"coordinate {v!r} is not an integer"
+        if not 0 <= v < m:
+            return f"coordinate {v + 1} outside 1..{m}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -56,22 +71,21 @@ class GenSet:
         # its arity, then its range, then for repeating an earlier member
         k = next((i for i, t in enumerate(members) if len(t) != n), len(members))
         try:
-            rows = np.fromiter(chain.from_iterable(members[:k]), np.intp, k * n).reshape(k, n)
-        except OverflowError:  # a coordinate beyond intp, which is out of range
-            rows = np.array(members[:k], dtype=object).reshape(k, n)
-        outside = ((rows < 0) | (rows >= m)).any(1)
+            flat = map(index, chain.from_iterable(members[:k]))
+            rows = np.fromiter(flat, np.intp, k * n).reshape(k, n)
+            outside = ((rows < 0) | (rows >= m)).any(1)
+        except (OverflowError, TypeError):  # a coordinate beyond intp or not an integer
+            outside = np.array([_refusal(t, m) is not None for t in members[:k]], bool)
         r = int(outside.argmax()) if outside.any() else k
         first: dict[ElementTuple, int] = {}
         d = next((i for i, t in enumerate(members[:r]) if first.setdefault(t, i) != i), r)
         if d < r:
             raise ArityMismatch(f"duplicate generator {members[d]}")
         if r < k:
-            v = next(v for v in members[r] if not 0 <= v < m)
-            raise OutOfRange(f"coordinate {v + 1} outside 1..{m}")
+            raise OutOfRange(_refusal(members[r], m))
         if k < len(members):
             t = members[k]
             raise ArityMismatch(f"generator {t} has arity {len(t)}, expected {n}")
-        rows = rows.astype(np.intp, copy=False)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -89,15 +103,12 @@ class GenSet:
         if len(t) != self.n:
             raise ArityMismatch(f"target arity {len(t)} != generator arity {self.n}")
         m = self.band.order
-        try:
-            row = np.fromiter(t, np.intp, self.n)
-        except OverflowError:  # a coordinate beyond intp, which is out of range
-            row = np.array(t, dtype=object)
-        outside = (row < 0) | (row >= m)
-        if outside.any():
-            raise OutOfRange(f"coordinate {t[int(outside.argmax())] + 1} outside 1..{m}")
-        row.setflags(write=False)
-        return row
+        with suppress(OverflowError, TypeError):  # beyond intp or not an integer: refused
+            row = np.fromiter(map(index, t), np.intp, self.n)
+            if ((row >= 0) & (row < m)).all():
+                row.setflags(write=False)
+                return row
+        raise OutOfRange(_refusal(t, m))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -129,15 +140,6 @@ def mul_tuple(band: Band, a: ElementTuple, b: ElementTuple) -> ElementTuple:
     return tuple(t[x][y] for x, y in zip(a, b))
 
 
-def prod_tuples(band: Band, tuples: Sequence[ElementTuple]) -> ElementTuple:
-    if not tuples:
-        raise ValueError("product of an empty tuple sequence")
-    acc = tuples[0]
-    for t in tuples[1:]:
-        acc = mul_tuple(band, acc, t)
-    return acc
-
-
 def leq_cw(mat: np.ndarray, a, b) -> np.ndarray:
     """a <= b componentwise under the preorder with boolean (m, m) array mat.
 
@@ -149,6 +151,15 @@ def leq_cw(mat: np.ndarray, a, b) -> np.ndarray:
 
 #: bytes of product rows formed in one step; bounds the BFS's scratch memory
 _BLOCK_BYTES = 1 << 17
+
+
+def _fold(table: np.ndarray, cols, word: Sequence[int]) -> np.ndarray:
+    """The product cols[w0]·cols[w1]·… of arrays of elements, left to right,
+    one lookup in the intp table per letter."""
+    acc = cols[word[0]]
+    for v in word[1:]:
+        acc = table[acc, cols[v]]
+    return acc
 
 
 class _Closure:

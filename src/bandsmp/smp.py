@@ -33,13 +33,13 @@ from .errors import (
 )
 from .power import (
     _BLOCK_BYTES,
+    _fold,
     DEFAULT_CAP,
     ElementTuple,
     GenSet,
     SmpInstance,
     leq_cw,
     member_closure_word,
-    prod_tuples,
 )
 from .quasi import classify
 
@@ -323,12 +323,11 @@ def smp_decide_auto(
 
 
 def verify_word(gens: GenSet, word: Sequence[int], b: ElementTuple) -> bool:
-    """Evaluate a 1-based generator-index word and compare with b."""
+    """Evaluate a 1-based generator-index word over the generator rows and compare with b."""
     if not word:
         raise EmptyWord("a witnessing word must be nonempty")
-    members = gens.members
-    k = len(members)
+    k = len(gens)
     for i in word:
         if not 1 <= i <= k:
             raise IndexOutOfRange(f"generator index {i} outside 1..{k}")
-    return prod_tuples(gens.band, [members[i - 1] for i in word]) == b
+    return _fold(gens.band.itable, gens.rows, [i - 1 for i in word]).tolist() == list(b)

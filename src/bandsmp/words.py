@@ -2,29 +2,30 @@
 
 Words are tuples of 1-based variable indices; the empty tuple is the
 empty word. Includes the left-cut s, sigma, duals, the recursive normal
-form map h_n with its length bound p_n, the hard-coded G/H/I words for
-n = 2..4, and exhaustive identity checking on bands.
+form map h_n with its length bound p_n, the G/H/I words by their
+recursion, and exhaustive identity checking on bands.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence, Union
 
+import numpy as np
+
 from .band import Band
-from .errors import (ArityTooLarge, EmptyWord, ParseError, UnboundVariable,
+from .errors import (ArityTooLarge, EmptyWord, OutOfRange, ParseError, UnboundVariable,
                      UnsupportedIndex, parsing)
+from .power import _BLOCK_BYTES, _fold
 
 Word = tuple[int, ...]
 
 DEFAULT_IDENTITY_BUDGET = 10_000_000
-
-
-def word(*letters: int) -> Word:
-    return tuple(letters)
+#: the most letters h_n and ghi_word build
+MAX_WORD_LENGTH = 10_000_000
 
 
 def word_from_text(text: str) -> Word:
@@ -49,26 +50,14 @@ def left_cut_s(w: Word) -> Word:
     """The longest left cut missing exactly one variable of w.
 
     For w = uxv with c(u) != c(ux) = c(w) this is u; s of the empty
-    word is empty.
+    word is empty. x is the variable that occurs last for the first time.
     """
-    seen: set[int] = set()
-    last_new = -1
-    for i, v in enumerate(w):
-        if v not in seen:
-            seen.add(v)
-            last_new = i
-    return w[:last_new] if last_new >= 0 else ()
+    return w[:w.index(next(reversed(dict.fromkeys(w))))] if w else ()
 
 
 def sigma(w: Word) -> Word:
     """One-letter word: the last variable under first-occurrence order."""
-    seen: set[int] = set()
-    last = None
-    for v in w:
-        if v not in seen:
-            seen.add(v)
-            last = v
-    return (last,) if last is not None else ()
+    return w[len(left_cut_s(w)):][:1]
 
 
 def dual_word(w: Word) -> Word:
@@ -85,7 +74,7 @@ def h_n(n: int, w: Word) -> Word:
     if n < 2:
         raise UnsupportedIndex(f"h_n is defined for n >= 2, got {n}")
     out, stack = [], [(n, tuple(w), False)]
-    while stack:
+    while stack and len(out) <= MAX_WORD_LENGTH:
         entry = stack.pop()
         if not isinstance(entry, tuple):
             out.append(entry)
@@ -100,6 +89,8 @@ def h_n(n: int, w: Word) -> Word:
             pieces += [(n - 1, dual_word(w), not dualize), w[len(cut)]]
             w = cut
         stack += reversed(pieces) if dualize else pieces
+    if len(out) > MAX_WORD_LENGTH:
+        raise ArityTooLarge(f"h_n(w) has more than {MAX_WORD_LENGTH} letters")
     return tuple(out)
 
 
@@ -122,27 +113,22 @@ def length_bound_p(n: int, k: int) -> int:
     return p
 
 
-_GHI: dict[tuple[str, int], Word] = {
-    ("G", 2): (2, 1),
-    ("H", 2): (2,),
-    ("I", 2): (2, 1, 2),
-    ("G", 3): (3, 1, 2),
-    ("H", 3): (3, 1, 2, 3, 2),
-    ("I", 3): (3, 1, 2, 3, 2, 1, 2),
-    ("G", 4): (4, 2, 1, 3),
-    ("H", 4): (4, 2, 1, 3, 4, 2, 3, 2, 1, 3),
-    ("I", 4): (4, 2, 1, 3, 4, 2, 1, 2, 3, 2, 1, 3),
-}
-
-
 def ghi_word(family: str, n: int) -> Word:
-    """The literal G_n / H_n / I_n word for n in {2, 3, 4}."""
-    key = (family, n)
-    if key not in _GHI:
-        raise UnsupportedIndex(
-            f"no hard-coded word for {family}_{n}; only G/H/I with n in 2..4"
-        )
-    return _GHI[key]
+    """G_n, H_n or I_n for n >= 2, from G_2 = x2 x1, H_2 = x2, I_2 = x2 x1 x2 and
+    G_n = x_n dual(G_{n-1}), H_n = G_n x_n dual(H_{n-1}), I_n = G_n x_n dual(I_{n-1})."""
+    bases = {"G": (2, 1), "H": (2,), "I": (2, 1, 2)}
+    if family not in bases or n < 2:
+        raise UnsupportedIndex(f"no word {family}_{n}: G/H/I are defined for n >= 2")
+    length = n if family == "G" else (n * n + 3 * n - 8) // 2 + 2 * (family == "I")
+    if length > MAX_WORD_LENGTH:
+        raise ArityTooLarge(f"{family}_{n} has {length} letters, more than {MAX_WORD_LENGTH}")
+    # W_i = p_i dual(W_{i-1}) in time linear in |W_n|: w holds W_i, or its dual when flipped
+    w, flipped = deque(bases[family]), False
+    for i in range(3, n + 1):
+        p = (i,) if family == "G" else ghi_word("G", i) + (i,)
+        (w.extendleft if flipped else w.extend)(reversed(p))
+        flipped = not flipped
+    return tuple(reversed(w) if flipped else w)
 
 
 @dataclass(frozen=True)
@@ -164,17 +150,15 @@ def eval_word(band: Band, w: Word, assignment: Sequence[int]) -> int:
     """The term function of w at the assignment (assignment[i] is x_{i+1})."""
     if not w:
         raise EmptyWord("cannot evaluate the empty word in a band")
-    t = band.table
     try:
-        acc = assignment[w[0] - 1]
-        for v in w[1:]:
-            acc = t[acc][assignment[v - 1]]
+        values = [assignment[v - 1] for v in w]
     except IndexError:
-        missing = max(w)
-        raise UnboundVariable(
-            f"assignment of length {len(assignment)} does not cover x{missing}"
-        ) from None
-    return acc
+        k = len(assignment)
+        raise UnboundVariable(f"assignment of length {k} does not cover x{max(w)}") from None
+    if min(values) < 0 or max(values) >= band.order:  # -1 would read the last row
+        v = next(v for v in values if not 0 <= v < band.order)
+        raise OutOfRange(f"assignment value {v + 1} outside 1..{band.order}")
+    return band.prod(values)
 
 
 def satisfies_identity(
@@ -185,25 +169,25 @@ def satisfies_identity(
 
     Assignments run in odometer order over the variables of the identity
     (unconstrained variables pinned to element 0), so the returned
-    counterexample is the lexicographically least one.
+    counterexample is the lexicographically least one. Both sides are
+    evaluated over a block of assignments at a time, one array a variable.
     """
     if not identity.lhs or not identity.rhs:
         raise EmptyWord("identity satisfaction needs both sides nonempty")
     variables = sorted(content(identity.lhs) | content(identity.rhs))
-    m, budget = band.order, DEFAULT_IDENTITY_BUDGET
-    if m ** len(variables) > budget:
-        raise ArityTooLarge(
-            f"{m}^{len(variables)} assignments exceed the budget of {budget}"
-        )
+    m, budget, v = band.order, DEFAULT_IDENTITY_BUDGET, len(variables)
+    if m ** v > budget:
+        raise ArityTooLarge(f"{m}^{v} assignments exceed the budget of {budget}")
     width = max(variables)
-    if width > budget:  # the assignment list holds x1..x_width
+    if width > budget:  # the counterexample holds x1..x_width
         raise ArityTooLarge(f"variable x{width} exceeds the budget of {budget}")
-    assignment = [0] * width
-    for values in product(range(m), repeat=len(variables)):
-        for var, val in zip(variables, values):
-            assignment[var - 1] = val
-        if eval_word(band, identity.lhs, assignment) != eval_word(
-            band, identity.rhs, assignment
-        ):
-            return tuple(assignment)
+    step = max(1, _BLOCK_BYTES // np.dtype(np.intp).itemsize)
+    for start in range(0, m ** v, step):
+        a = np.arange(start, min(start + step, m ** v))
+        # an assignment's number in odometer order has the first variable's value as top digit
+        cols = {x: a // m ** (v - 1 - j) % m for j, x in enumerate(variables)}
+        differ = _fold(band.itable, cols, identity.lhs) != _fold(band.itable, cols, identity.rhs)
+        if differ.any():
+            i = int(differ.argmax())
+            return tuple(int(cols[x][i]) if x in cols else 0 for x in range(1, width + 1))
     return True

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from bandsmp import (
@@ -50,6 +51,14 @@ class TestValidation:
     def test_out_of_range_entry(self):
         with pytest.raises(OutOfRange):
             Band([[0, 2], [0, 1]])
+
+    def test_non_integer_entry(self):
+        # int(0.7) would make this the trivial band
+        with pytest.raises(OutOfRange, match=r"entry at \(1,1\) is 0.7, not an integer"):
+            Band([[0.7]])
+        with pytest.raises(OutOfRange, match=r"entry at \(2,1\)"):
+            Band([[0, 1], [np.float64(1.0), 1]])
+        assert Band([[np.int64(0)]]).table == ((0,),)
 
     def test_ragged_table_rejected(self):
         with pytest.raises(OutOfRange):
@@ -259,6 +268,12 @@ class TestCatalog:
             catalog("S11")
         with pytest.raises(UnknownName):
             catalog("Rect(0,2)")
+
+    def test_family_order_bound(self):
+        # the tables are m x m Python lists; SL-chain(30000) would exhaust memory
+        for name in ["SL-chain(2049)", "LZ(2049)", "RZ(2049)", "Rect(64,33)", "Rect(1,2049)"]:
+            with pytest.raises(UnknownName, match="2048"):
+                catalog(name)
 
     def test_all_examples_construct(self):
         for name in CATALOG_EXAMPLES:

@@ -1,10 +1,13 @@
 """The benchmark under bench/ and the scripts under demos/ import library
 names; a deletion that would break them fails here, in the tests the
-library is checked with."""
+library is checked with. Each demo is also run to its end."""
 
 import ast
 import importlib
+import runpy
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +43,9 @@ def test_every_bench_import_from_bandsmp_resolves():
 
 def test_every_demo_import_from_bandsmp_resolves():
     assert unresolved("demos", "sat_gadget.py") == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(capsys, path):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from bandsmp import catalog, member_closure, parse_band_text, parse_instance
-from bandsmp import cli
+from bandsmp import cli, words
 from bandsmp.cli import main
 
 from oracles import naive_sat
@@ -301,7 +301,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("name, kind", [
         ("Q", "ParseError"), ("G", "ParseError"), ("", "ParseError"),
-        ("Gx", "ParseError"), ("X3", "UnsupportedIndex"), ("G9", "UnsupportedIndex"),
+        ("Gx", "ParseError"), ("X3", "UnsupportedIndex"), ("G1", "UnsupportedIndex"),
+        ("H5000", "ArityTooLarge"),
     ])
     def test_ghi_word_name(self, capsys, name, kind):
         code, out, err = run(capsys, "words", "ghi", name)
@@ -399,6 +400,8 @@ class TestWords:
     def test_ghi_and_pbound(self, capsys):
         _, out, _ = run(capsys, "words", "ghi", "G3")
         assert out == "3 1 2\n"
+        _, out, _ = run(capsys, "words", "ghi", "G9")
+        assert out == "9 7 5 3 1 2 4 6 8\n"
         _, out, _ = run(capsys, "words", "pbound", "--n", "4", "--k", "3")
         assert out == "21\n"
 
@@ -427,6 +430,19 @@ class TestWords:
             "--lhs", "1 2 3", "--rhs", "1 3",
         )
         assert code == 0 and out == "holds\n"
+
+    def test_identity_over_eleven_variables(self, capsys):
+        # 4^11 assignments, evaluated a block at a time
+        code, out, _ = run(
+            capsys, "words", "identity", "--catalog", "Rect(2,2)",
+            "--lhs", "1 2 3 4 5 6 7 8 9 10 11", "--rhs", "1 11",
+        )
+        assert code == 0 and out == "holds\n"
+
+    def test_hn_output_is_bounded(self, capsys, monkeypatch):
+        monkeypatch.setattr(words, "MAX_WORD_LENGTH", 1000)
+        code, out, err = run(capsys, "words", "hn", "--n", "1000", "1 2 3")
+        assert code == 2 and out == "" and "ArityTooLarge" in err
 
     def test_identity_fails(self, capsys):
         code, out, _ = run(
@@ -517,6 +533,12 @@ class TestCatalogCommand:
     def test_unknown(self, capsys):
         code, _, err = run(capsys, "catalog", "S11")
         assert code == 2 and "UnknownName" in err
+
+    @pytest.mark.parametrize("name", ["SL-chain(2049)", "Rect(64,33)"])
+    def test_family_order_bound(self, capsys, name):
+        code, out, err = run(capsys, "classify", "--catalog", name)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "UnknownName" in err and "Traceback" not in err
 
 
 class TestUsage:

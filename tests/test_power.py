@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestGenSet:
             with pytest.raises(OutOfRange, match=f"coordinate {v} outside 1..10"):
                 gens.row(b)
 
+    def test_non_integers_refused(self, s10):
+        # np.fromiter into intp would read 1.9 as 1 and 3.5 as 3
+        with pytest.raises(OutOfRange, match="coordinate 1.9 is not an integer"):
+            GenSet.of(s10, [(1.9,), (2,)])
+        gens = GenSet.of(s10, [(1,), (2,)])
+        for b in [(3.5,), (2.0,), ("3",)]:
+            with pytest.raises(OutOfRange, match="is not an integer"):
+                gens.row(b)
+        assert GenSet.of(s10, [(np.int64(3), np.uint8(9))]).rows.tolist() == [[3, 9]]
+        assert gens.row((np.int32(4),)).tolist() == [4]
+
     def test_rows_are_the_members(self, s10):
         gens = GenSet.of(s10, [(1, 0, 9), (2, 9, 4)])
         assert gens.rows.dtype == np.intp and not gens.rows.flags.writeable
@@ -123,6 +135,8 @@ class TestGenSet:
                 if len(t) != n:
                     return ArityMismatch, f"generator {t} has arity {len(t)}, expected {n}"
                 for v in t:
+                    if not isinstance(v, (int, np.integer)):
+                        return OutOfRange, f"coordinate {v!r} is not an integer"
                     if not 0 <= v < 9:
                         return OutOfRange, f"coordinate {v + 1} outside 1..9"
                 if t in seen:
@@ -130,7 +144,7 @@ class TestGenSet:
                 seen.add(t)
             return None
 
-        values = [0, 3, 8, 9, -1, 2**63, 2**64 + 1, -(2**63) - 1]
+        values = [0, 3, 8, 9, -1, 2**63, 2**64 + 1, -(2**63) - 1, 1.5, np.float64(2.0)]
         rng = random.Random(5)
         for _ in range(400):
             n = rng.randint(0, 3)
@@ -329,7 +343,7 @@ def targets_for(gens, rng, extra=()):
     out = list(members) + list(extra)
     for _ in range(3):
         word = [rng.choice(members) for _ in range(rng.randint(2, 6))]
-        out.append(power.prod_tuples(band, word))
+        out.append(reduce(partial(oracles.tuple_mul, band.table), word))
         out.append(tuple(rng.randrange(band.order) for _ in range(n)))
     return out
 

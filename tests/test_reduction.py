@@ -15,7 +15,6 @@ from bandsmp import (
     mul_tuple,
     normalize_witness,
     parse_dimacs,
-    prod_tuples,
     sat_to_smp,
     verify_word,
     word_to_assignment,
@@ -100,9 +99,9 @@ class TestSatToSmp:
     def test_satisfying_product(self, s9):
         sat = SatInstance(1, (frozenset({1}),))
         out = sat_to_smp(sat, s9, S9_WITNESS)
-        u, v, a0, a1 = out.instance.gens.members
-        assert prod_tuples(s9, [u, a1, v]) == out.instance.target
-        assert prod_tuples(s9, [u, a0, v]) != out.instance.target
+        assert out.roles == ("u", "v", "a1^0", "a1^1")
+        assert verify_word(out.instance.gens, [1, 4, 2], out.instance.target)  # u a1^1 v
+        assert not verify_word(out.instance.gens, [1, 3, 2], out.instance.target)
 
     def test_membership_tracks_satisfiability_on_hand_cases(self):
         for clauses, expected in [

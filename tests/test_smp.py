@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from bandsmp.errors import (
     PreconditionViolated,
 )
 from bandsmp.power import leq_cw
+
+import oracles
 
 
 def random_instance(band, rng, max_n=4, max_k=4):
@@ -482,6 +485,11 @@ class TestSmpDecide:
         inst = SmpInstance(GenSet.of(s10, [(1,), (2,)]), (3,))
         assert smp_decide_poly(inst) is True
 
+    def test_non_integer_target(self, s10):
+        # read as 3, the 3.5 would be decided a member, as (3,) is above
+        with pytest.raises(OutOfRange, match="coordinate 3.5 is not an integer"):
+            smp_decide_poly(SmpInstance(GenSet.of(s10, [(1,), (2,)]), (3.5,)))
+
     def test_l_side_passes_r_side_fails(self, s10):
         inst = SmpInstance(GenSet.of(s10, [(2,)]), (3,))
         assert smp_decide_poly(inst) is False
@@ -608,3 +616,18 @@ class TestVerifyWord:
     def test_index_out_of_range(self, s10):
         with pytest.raises(IndexOutOfRange):
             verify_word(GenSet.of(s10, [(1,)]), [2], (1,))
+
+    @pytest.mark.parametrize("name", ["S9", "T13a", "Rect(2,3)"])
+    def test_matches_the_tuple_product(self, name):
+        band = catalog(name)
+        rng = random.Random(7)
+        for _ in range(60):
+            n, k = rng.randint(0, 4), rng.randint(1, 4)
+            members = {tuple(rng.randrange(band.order) for _ in range(n)) for _ in range(k)}
+            gens = GenSet.of(band, sorted(members), n=n)
+            word = [rng.randint(1, len(gens)) for _ in range(rng.randint(1, 8))]
+            b = reduce(partial(oracles.tuple_mul, band.table), [gens.members[i - 1] for i in word])
+            assert verify_word(gens, word, b) and verify_word(gens, word, list(b))
+            if n:
+                assert not verify_word(gens, word, b[:-1])
+                assert not verify_word(gens, word, b[:-1] + ((b[-1] + 1) % band.order,))

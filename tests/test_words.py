@@ -1,4 +1,4 @@
-"""Word operators, the h_n normal form, G/H/I literals, identity checking."""
+"""Word operators, the h_n normal form, G/H/I words, identity checking."""
 
 import itertools
 import random
@@ -22,7 +22,9 @@ from bandsmp import (
     word_from_text,
     word_to_text,
 )
-from bandsmp.errors import ArityTooLarge, EmptyWord, UnboundVariable, UnsupportedIndex
+from bandsmp import words
+from bandsmp.errors import (ArityTooLarge, EmptyWord, OutOfRange, UnboundVariable,
+                            UnsupportedIndex)
 
 import oracles
 from helpers import random_word
@@ -54,6 +56,19 @@ class TestOperators:
         assert sigma((1, 2, 1)) == (2,)
         assert sigma(()) == ()
 
+    def test_sigma_matches_first_occurrence_order(self):
+        def referee(w):  # the last variable to occur for the first time
+            seen = []
+            for v in w:
+                if v not in seen:
+                    seen.append(v)
+            return tuple(seen[-1:])
+
+        rng = random.Random(7)
+        for _ in range(2000):
+            w = random_word(rng, rng.randint(1, 8), 20)
+            assert sigma(w) == referee(w), w
+
     def test_dual(self):
         assert dual_word((3, 1, 2)) == (2, 1, 3)
         assert dual_word(()) == ()
@@ -82,6 +97,14 @@ class TestHn:
     def test_invalid_n(self):
         with pytest.raises(UnsupportedIndex):
             h_n(1, (1,))
+
+    def test_output_is_bounded(self, monkeypatch):
+        # unbounded, h_1000(1 2 3) would build 167,165,999 letters
+        monkeypatch.setattr(words, "MAX_WORD_LENGTH", 5)
+        assert h_n(6, (1,)) == (1,) * 5
+        for n, w in [(7, (1,)), (1000, (1, 2, 3))]:
+            with pytest.raises(ArityTooLarge, match="more than 5 letters"):
+                h_n(n, w)
 
     def test_content_shrinks(self):
         rng = random.Random(2)
@@ -146,17 +169,53 @@ class TestLengthBound:
             sys.set_int_max_str_digits(limit)
 
 
+# the published words for n = 2..4
+GHI_LITERALS = {
+    ("G", 2): (2, 1),
+    ("H", 2): (2,),
+    ("I", 2): (2, 1, 2),
+    ("G", 3): (3, 1, 2),
+    ("H", 3): (3, 1, 2, 3, 2),
+    ("I", 3): (3, 1, 2, 3, 2, 1, 2),
+    ("G", 4): (4, 2, 1, 3),
+    ("H", 4): (4, 2, 1, 3, 4, 2, 3, 2, 1, 3),
+    ("I", 4): (4, 2, 1, 3, 4, 2, 1, 2, 3, 2, 1, 3),
+}
+
+
 class TestGhiWords:
     def test_literals(self):
-        assert ghi_word("G", 3) == (3, 1, 2)
-        assert ghi_word("H", 4) == (4, 2, 1, 3, 4, 2, 3, 2, 1, 3)
-        assert ghi_word("I", 2) == (2, 1, 2)
+        for (family, n), w in GHI_LITERALS.items():
+            assert ghi_word(family, n) == w, (family, n)
 
     def test_unsupported(self):
-        with pytest.raises(UnsupportedIndex):
-            ghi_word("G", 5)
-        with pytest.raises(UnsupportedIndex):
-            ghi_word("J", 3)
+        for family, n in [("G", 1), ("H", 0), ("I", -3), ("J", 3)]:
+            with pytest.raises(UnsupportedIndex):
+                ghi_word(family, n)
+
+    def test_recursion_and_lengths(self):
+        def recursive(family, n):
+            if n == 2:
+                return GHI_LITERALS[family, 2]
+            g = (n,) + dual_word(recursive("G", n - 1))
+            return g if family == "G" else g + (n,) + dual_word(recursive(family, n - 1))
+
+        for n in range(2, 60):
+            h = (n * n + 3 * n - 8) // 2
+            for family, length in [("G", n), ("H", h), ("I", h + 2)]:
+                w = ghi_word(family, n)
+                assert w == recursive(family, n) and len(w) == length, (family, n)
+
+    def test_length_is_bounded_before_building(self, monkeypatch):
+        start = time.perf_counter()
+        with pytest.raises(ArityTooLarge):
+            ghi_word("H", 10**6)  # about 5 * 10^11 letters
+        assert time.perf_counter() - start < 0.5
+        monkeypatch.setattr(words, "MAX_WORD_LENGTH", 10)
+        assert len(ghi_word("G", 10)) == len(ghi_word("H", 4)) == 10
+        for family, n in [("G", 11), ("H", 5), ("I", 4)]:
+            with pytest.raises(ArityTooLarge, match="more than 10"):
+                ghi_word(family, n)
 
 
 class TestEval:
@@ -177,6 +236,14 @@ class TestEval:
     def test_unbound_variable(self, s9):
         with pytest.raises(UnboundVariable):
             eval_word(s9, (1, 3), [0, 0])
+
+    def test_values_outside_the_band(self, s10):
+        # -1 would pick the last row; a lone -3 would come back unread
+        for w, assign, v in [((1, 2), [-1, 0], 0), ((1,), [-3], -2), ((1, 2), [10, 0], 11)]:
+            with pytest.raises(OutOfRange, match=f"value {v} outside 1..10"):
+                eval_word(s10, w, assign)
+        with pytest.raises(UnboundVariable, match="does not cover x3"):
+            eval_word(s10, (1, 3), [10, 0])
 
 
 class TestSatisfiesIdentity:
@@ -212,6 +279,21 @@ class TestSatisfiesIdentity:
             expected = oracles.naive_satisfies_identity(band.table, lhs, rhs)
             assert got == expected
 
+    @pytest.mark.parametrize("block_bytes", [8, 200, words._BLOCK_BYTES])
+    @pytest.mark.parametrize("name", ["S10", "T13a", "RZ(3)", "Rect(2,2)"])
+    def test_matches_naive_oracle_with_gaps_and_blocks(self, monkeypatch, name, block_bytes):
+        # variables x1, x3, x7 and x2, x5: the counterexample pins the gaps to 0;
+        # 8 bytes make one assignment a block, 200 bytes blocks of 25
+        monkeypatch.setattr(words, "_BLOCK_BYTES", block_bytes)
+        band = catalog(name)
+        rng = random.Random(8)
+        for letters in [(1, 3, 7), (2, 5)]:
+            for _ in range(15):
+                lhs = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+                rhs = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+                got = satisfies_identity(band, Identity(lhs, rhs))
+                assert got == oracles.naive_satisfies_identity(band.table, lhs, rhs), (lhs, rhs)
+
     def test_dualizing_band_and_identity_agree(self, s9):
         rng = random.Random(5)
         for _ in range(30):
@@ -230,7 +312,7 @@ class TestSatisfiesIdentity:
         ident = Identity(dual_word(g3) + g3, dual_word(i3) + i3)
         assert satisfies_identity(band, ident) is True
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("name", ["SL-chain(3)", "Rect(2,3)", "LZ(3)"])
     def test_hn_preserves_term_functions_in_gnhn_varieties(self, name, n):
         band = catalog(name)
