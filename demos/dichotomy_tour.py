@@ -12,7 +12,7 @@ from bandsmp import (
     construct_forbidden_band,
     embeds_forbidden,
     find_embedding,
-    generated_T,
+    forbidden_subband,
     normalize_witness,
 )
 
@@ -47,8 +47,8 @@ def main():
     norm = normalize_witness(s9, w)
     print(f"odometer-least witness of S9: {w}")
     print(f"normalized (h acts as identity): {norm}")
-    sub = generated_T(s9, norm)
-    print(f"the witness generates {len(sub)} of the 9 elements")
+    case, image = forbidden_subband(s9, norm)
+    print(f"the witness generates {case}, on the elements {[v + 1 for v in image]}")
 
     print()
     print("== The four forbidden bands ==")
@@ -65,11 +65,7 @@ def main():
     print("== Embedding view of the dichotomy ==")
     for band in (s9, s10):
         report = embeds_forbidden(band)
-        found = [
-            f"{case}->{orientation}"
-            for case, orientation, emb in report.entries
-            if emb is not None
-        ]
+        found = [f"{case}->{orientation}" for case, orientation, _ in report.entries]
         print(f"{band.name}: {'embeds ' + ', '.join(found) if found else 'no forbidden band embeds'}")
 
     print()

@@ -41,7 +41,7 @@ from .quasi import (
     construct_forbidden_band,
     embeds_forbidden,
     find_lambda_witness,
-    generated_T,
+    forbidden_subband,
     is_witness,
     normalize_witness,
 )

@@ -22,11 +22,10 @@ from .errors import (
     UnknownName,
     integer,
     labels,
+    parse_file,
     parsing,
-    read_file,
     read_text,
 )
-from .power import GenSet, _bfs
 
 Table = Sequence[Sequence[int]]
 
@@ -185,11 +184,6 @@ class Band:
         rows.append(list(range(m + 1)))
         return Band(rows, name=f"{self.name}^1" if self.name else None)
 
-    def subsemigroup(self, gens: Iterable[int]) -> frozenset[int]:
-        """Closure of gens under the product; <()> is empty."""
-        found = _bfs(GenSet(self, 1, tuple((g,) for g in set(gens))), self.order, None)
-        return frozenset(found.rows(1)[:, 0].tolist())
-
     # -- text formats ----------------------------------------------------------
 
     def to_text(self) -> str:
@@ -230,7 +224,7 @@ def parse_band_text(text: str, name: Optional[str] = None) -> Band:
 
 
 def load_band(path: str) -> Band:
-    return parse_band_text(read_file(path), name=path)
+    return parse_file(path, lambda text: parse_band_text(text, name=path))
 
 
 # -- embedding search ----------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import band as band_mod
 from . import power, quasi, reduction, smp, words
-from .errors import BandSmpError, labels, parsing, read_file
+from .errors import BandSmpError, labels, parse_file, parsing
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -91,6 +91,10 @@ def _cmd_classify(args) -> int:
             "verdict": result.verdict,
             "lambda_witness": _witness_json(result.lambda_witness),
             "lambda_dual_witness": _witness_json(result.lambda_dual_witness),
+            "forbidden": [
+                {"case": case, "orientation": orientation, "image": [v + 1 for v in image]}
+                for case, orientation, image in quasi.embeds_forbidden(band).entries
+            ],
         }))
     else:
         print(result.verdict)
@@ -113,9 +117,9 @@ def _default_cap(args) -> int:
     return power.DEFAULT_CAP
 
 
-def _decide_one(band, text, algo, force, cap):
+def _decide_one(inst, algo, force, cap):
     """Decide one instance; returns (verdict, stats_lines, json_obj)."""
-    inst = power.parse_instance(text, band)
+    band = inst.band
     stats = smp.LoopStats()
     method = algo
     word = None
@@ -180,11 +184,13 @@ def _set_worker_band(band: band_mod.Band) -> None:
 def _decide_entry(source, algo, force, cap, band=None):
     """(name, verdict, stats_lines, json_obj, error) for a (name, text)
     source over band, by default the worker's; a text of None is read from
-    the file name, so an unreadable file gets its own error."""
+    the file name, so an unreadable file gets its own error, and a
+    ParseError names the file."""
     name, text = source
+    parse = partial(power.parse_instance, band=band or _worker_band)
     try:
-        text = read_file(name) if text is None else text
-        return (name, *_decide_one(band or _worker_band, text, algo, force, cap), None)
+        inst = parse_file(name, parse) if text is None else parse(text)
+        return (name, *_decide_one(inst, algo, force, cap), None)
     except (BandSmpError, OSError) as exc:
         return name, "error", [], None, f"{type(exc).__name__}: {exc}"
 
@@ -274,20 +280,13 @@ def _cmd_words(args) -> int:
 
 def _cmd_reduce(args) -> int:
     band = _resolve_band(args)
-    sat = reduction.parse_dimacs(read_file(args.cnf))
+    sat = parse_file(args.cnf, reduction.parse_dimacs)
 
-    classification = quasi.classify(band)
-    if classification.lambda_witness is not None:
-        gadget_band, witness, orientation = band, classification.lambda_witness, "S"
-    elif classification.lambda_dual_witness is not None:
-        # reduce into the dual band; membership there mirrors reversed products
-        gadget_band = band.dual()
-        witness, orientation = classification.lambda_dual_witness, "dual"
-    else:
-        raise BandSmpError(
-            "band passes both quasiidentity scans; no hardness instance exists"
-        )
-    witness = quasi.normalize_witness(gadget_band, witness)
+    failing = quasi.normalized_witnesses(band)
+    if not failing:
+        raise BandSmpError("band passes both quasiidentity scans; no hardness instance exists")
+    # the first failing orientation; membership in the dual mirrors reversed products
+    orientation, gadget_band, witness = failing[0]
     out = reduction.sat_to_smp(sat, gadget_band, witness)
 
     text = power.format_instance(out.instance)

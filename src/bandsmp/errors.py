@@ -63,18 +63,29 @@ def parsing(what: str):
 def read_text(text: str):
     """A band or instance file as Python values: the object of a text that
     starts with '{' (JSON), otherwise one list of ints for each line that is
-    neither blank nor a '#' comment. Call it inside parsing()."""
+    neither blank nor a '#' comment. A bad token names its 1-based line,
+    blank and comment lines counted. Call it inside parsing()."""
     if text.lstrip().startswith("{"):
         return json.loads(text)
-    lines = (ln.strip() for ln in text.splitlines())
-    return [list(map(int, ln.split())) for ln in lines if ln and not ln.startswith("#")]
+    rows = []
+    for i, line in enumerate(text.splitlines(), 1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            try:
+                rows.append(list(map(int, tokens)))
+            except ValueError as exc:
+                raise ValueError(f"line {i}: {exc}") from None
+    return rows
 
 
-def read_file(path: str) -> str:
-    """The text of a band, instance or DIMACS file; one that is not UTF-8
-    is a ParseError naming the file."""
-    with open(path, encoding="utf-8") as fh, parsing(path):
-        return fh.read()
+def parse_file(path: str, parse):
+    """parse(the text of a band, instance or DIMACS file), with the file
+    named in a ParseError: one that parse raises, or the file not being UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def integer(value) -> int:
@@ -128,12 +139,6 @@ class ArityTooLarge(BandSmpError):
 
 class NotAWitness(BandSmpError):
     pass
-
-
-class UnexpectedSize(BandSmpError):
-    def __init__(self, size: int):
-        self.size = size
-        super().__init__(f"generated subsemigroup has size {size}, expected one of 9, 13, 17")
 
 
 # --- decision algorithms ---

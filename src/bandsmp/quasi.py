@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .band import Band, find_embedding
-from .errors import NotAWitness, UnexpectedSize, UnknownName
+from .band import Band
+from .errors import NotAWitness, UnknownName
 from .power import _BLOCK_BYTES
 
 FORBIDDEN_CASES = ("T9", "T13a", "T13b", "T17")
@@ -155,14 +155,6 @@ def normalize_witness(band: Band, w: Witness) -> Witness:
     return out
 
 
-def generated_T(band: Band, w: Witness) -> frozenset[int]:
-    """The subsemigroup generated by a normalized witness; size 9, 13 or 17."""
-    sub = band.subsemigroup(w.as_tuple())
-    if len(sub) not in (9, 13, 17):
-        raise UnexpectedSize(len(sub))
-    return sub
-
-
 # -- synthesis of the four forbidden bands -------------------------------------
 
 _TOP = ("h", "x", "e", "xe", "y")
@@ -175,64 +167,53 @@ _TOPMUL = {
     "y": {"h": "y", "x": "y", "e": "y", "xe": "y", "y": "y"},
 }
 
-# left action of top elements on the abstract L-class rows {d, xd, yd}
-_ROWACT = {
-    "h": {"d": "d", "xd": "xd", "yd": "yd"},
-    "x": {"d": "xd", "xd": "xd", "yd": "yd"},
-    "y": {"d": "yd", "xd": "yd", "yd": "yd"},
-    "e": {"d": "d", "xd": "d", "yd": "d"},
-    "xe": {"d": "xd", "xd": "xd", "yd": "xd"},
-}
-
-_COLS = ("d", "dx", "de", "dxe")
-# column c corresponds to d*g for this generator g
-_COLGEN = {"d": "h", "dx": "x", "de": "e", "dxe": "xe"}
-# column of d*u for each top element u (d*y = d*e)
-_COLMAP = {"h": "d", "x": "dx", "e": "de", "xe": "dxe", "y": "de"}
-
-# rows present and the quotient collapsing {d, xd, yd} onto them
+# the bottom J-class: rows t d and columns d g, named by t and by g
+_ROWS = ("h", "x", "y")
+_COLS = ("h", "x", "e", "xe")
+# the row that each of d, x d, y d is in; the rows present are those
 _CASES = {
-    "T9": (("d",), {"d": "d", "xd": "d", "yd": "d"}),
-    "T13a": (("d", "yd"), {"d": "d", "xd": "d", "yd": "yd"}),
-    "T13b": (("d", "xd"), {"d": "d", "xd": "xd", "yd": "xd"}),
-    "T17": (("d", "xd", "yd"), {"d": "d", "xd": "xd", "yd": "yd"}),
+    "T9": ("h", "h", "h"),
+    "T13a": ("h", "h", "y"),
+    "T13b": ("h", "x", "x"),
+    "T17": ("h", "x", "y"),
 }
+
+
+def _elements(case: str) -> list:
+    """The elements of a forbidden band in table order: the top h, x, e, xe,
+    y, then each bottom (t, g) row by row, the element t d g."""
+    if case not in _CASES:
+        raise UnknownName(f"unknown forbidden-band case {case!r}")
+    return [*_TOP, *((t, g) for t in _ROWS if t in _CASES[case] for g in _COLS)]
 
 
 @cache
 def construct_forbidden_band(case: str) -> Band:
     """Synthesize one of the four minimal bands breaking the quasiidentity.
 
-    Elements: the five-element top {h, x, e, xe, y} over a bottom J-class
-    that is the rectangular band rows x columns, with columns
-    {d, dx, de, dxe} and rows {d} / {d, yd} / {d, xd} / {d, xd, yd}
-    depending on the case. The result passes band validation and fails
-    the quasiidentity with canonical witness (d, e, x, y, h). Each band
-    is built once per process and shared: a Band is immutable apart from
-    its deterministic memo slots.
+    Elements: the top {h, x, e, xe, y} over a bottom J-class, the rectangular
+    band of rows t d, t in {h} / {h, y} / {h, x} / {h, x, y} by case, and
+    columns d g, g in {h, x, e, xe}; d is (h, h). The top multiplies by
+    _TOPMUL and acts on rows and columns through it, as e d = d, xe d = x d
+    and d y = d e. The result passes band validation and fails the
+    quasiidentity with canonical witness (d, e, x, y, h). Each band is built
+    once per process and shared: a Band is immutable apart from its
+    deterministic memo slots.
     """
-    if case not in _CASES:
-        raise UnknownName(f"unknown forbidden-band case {case!r}")
-    rows, quot = _CASES[case]
-    elems: list = list(_TOP)
-    for r in rows:
-        for c in _COLS:
-            elems.append((r, c))
+    elems = _elements(case)
     index = {el: i for i, el in enumerate(elems)}
-    m = len(elems)
-    table = [[0] * m for _ in range(m)]
-    for a in elems:
-        for b in elems:
-            if isinstance(a, str) and isinstance(b, str):
-                res = _TOPMUL[a][b]
-            elif isinstance(a, str):
-                res = (quot[_ROWACT[a][b[0]]], b[1])
-            elif isinstance(b, str):
-                res = (a[0], _COLMAP[_TOPMUL[_COLGEN[a[1]]][b]])
-            else:
-                res = (a[0], b[1])
-            table[index[a]][index[b]] = index[res]
-    return Band(table, name=case)
+    row = dict(zip(_ROWS, _CASES[case]))  # the row of u d for each top u
+    row.update(e=row["h"], xe=row["x"])
+
+    def mul(a, b):
+        if isinstance(a, str):
+            return _TOPMUL[a][b] if isinstance(b, str) else (row[_TOPMUL[a][b[0]]], b[1])
+        if isinstance(b, str):
+            g = _TOPMUL[a[1]][b]
+            return (a[0], "e" if g == "y" else g)
+        return (a[0], b[1])
+
+    return Band([[index[mul(a, b)] for b in elems] for a in elems], name=case)
 
 
 def canonical_forbidden_witness() -> Witness:
@@ -240,31 +221,55 @@ def canonical_forbidden_witness() -> Witness:
     return Witness(d=5, e=2, x=1, y=4, h=0)
 
 
-# -- embedding cross-check ------------------------------------------------------
+# -- the forbidden band a witness generates --------------------------------------
+
+def forbidden_subband(band: Band, w: Witness) -> tuple[str, tuple[int, ...]]:
+    """(case, image) for a normalized witness: the forbidden band that w
+    generates, with image[i] the value at w of the word of element i of
+    construct_forbidden_band(case). The case is the one whose quotient of the
+    rows d, xd, yd is the one their values at w make."""
+    at = dict(zip("dexyh", w.as_tuple()))
+
+    def value(word: str) -> int:
+        return band.prod(at[letter] for letter in word)
+
+    rows = [value(t + "d") for t in _ROWS]
+    quot = tuple(_ROWS[rows.index(v)] for v in rows)
+    # rows falling as in no case (d = yd != xd) leave T17's image below not injective
+    case = next((c for c, q in _CASES.items() if q == quot), "T17")
+    image = tuple(value(el if isinstance(el, str) else "d".join(el)) for el in _elements(case))
+    small, img = construct_forbidden_band(case), np.array(image)
+    if len(set(image)) < small.order or (img[small.itable] != band.itable[img[:, None], img]).any():
+        raise AssertionError(f"{w} does not generate {case} by its words; internal bug")
+    return case, image
+
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """Embeddings of each forbidden band into S and into dual(S)."""
+    """(case, orientation, image) from forbidden_subband, in S or its dual."""
 
-    entries: tuple[tuple[str, str, Optional[tuple[int, ...]]], ...]
+    entries: tuple[tuple[str, str, tuple[int, ...]], ...]
 
     @property
     def any_embedding(self) -> bool:
-        return any(emb is not None for _, _, emb in self.entries)
+        return bool(self.entries)
+
+
+def normalized_witnesses(band: Band) -> list[tuple[str, Band, Witness]]:
+    """(orientation, S or dual(S), the normalized witness of its scan) for
+    each of "S" and "dual" whose scan in the memoized classify fails."""
+    c = classify(band)
+    return [(orientation, target, normalize_witness(target, w))
+            for orientation, target, w in (("S", band, c.lambda_witness),
+                                           ("dual", band.dual(), c.lambda_dual_witness))
+            if w is not None]
 
 
 def embeds_forbidden(band: Band) -> EmbeddingReport:
-    """For each forbidden band and orientation, an embedding or None.
-
-    The overall flag matches the quasiidentity scans: some forbidden band
-    embeds into S iff the plain scan fails, and into S or dual(S) iff the
-    band is not tractable.
-    """
+    """An entry for each orientation whose scan fails, so there is one iff
+    the band is not tractable."""
     entries = []
-    duals = band.dual()
-    for case in FORBIDDEN_CASES:
-        small = construct_forbidden_band(case)
-        for orientation, target in (("S", band), ("dual", duals)):
-            emb = find_embedding(small, target)
-            entries.append((case, orientation, emb))
+    for orientation, target, w in normalized_witnesses(band):
+        case, image = forbidden_subband(target, w)
+        entries.append((case, orientation, image))
     return EmbeddingReport(entries=tuple(entries))

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence, Union
 
 import numpy as np
@@ -64,17 +65,39 @@ def dual_word(w: Word) -> Word:
     return tuple(reversed(w))
 
 
+def _h_length(n: int, w: Word) -> int:
+    """|h_n(w)| up to MAX_WORD_LENGTH, else some larger number: level by level
+    over the distinct words the recursion reaches, with their numbers of calls."""
+    if w and n - 1 > MAX_WORD_LENGTH:  # every level adds a letter or more
+        return n - 1
+    length, level = 0, Counter([tuple(w)])
+    for _ in range(n - 2):
+        if length > MAX_WORD_LENGTH:
+            break
+        below = Counter()
+        for u, calls in level.items():
+            while u:  # a letter, and a call on dual(u_j), for each s-cut u_j
+                length += calls
+                below[dual_word(u)] += calls
+                u = left_cut_s(u)
+        level = below
+    return length + sum(calls for u, calls in level.items() if u)  # h_2(u) = u[:1]
+
+
 def h_n(n: int, w: Word) -> Word:
     """The normal-form word map h_n; h_n(w) = h_n(s(w)) sigma(w) dual(h_{n-1}(dual w)).
 
     Both recursions are loops over a stack of letters and (n, w, dualize)
     calls. With s-cuts w_0 = w, w_{j+1} = s(w_j), h_n(w) is sigma(w_j)
-    dual(h_{n-1}(dual w_j)) over j = L..0, and its dual the reverse.
+    dual(h_{n-1}(dual w_j)) over j = L..0, and its dual the reverse. An
+    output longer than MAX_WORD_LENGTH is refused before it is built.
     """
     if n < 2:
         raise UnsupportedIndex(f"h_n is defined for n >= 2, got {n}")
+    if _h_length(n, w) > MAX_WORD_LENGTH:
+        raise ArityTooLarge(f"h_n(w) has more than {MAX_WORD_LENGTH} letters")
     out, stack = [], [(n, tuple(w), False)]
-    while stack and len(out) <= MAX_WORD_LENGTH:
+    while stack:
         entry = stack.pop()
         if not isinstance(entry, tuple):
             out.append(entry)
@@ -89,8 +112,6 @@ def h_n(n: int, w: Word) -> Word:
             pieces += [(n - 1, dual_word(w), not dualize), w[len(cut)]]
             w = cut
         stack += reversed(pieces) if dualize else pieces
-    if len(out) > MAX_WORD_LENGTH:
-        raise ArityTooLarge(f"h_n(w) has more than {MAX_WORD_LENGTH} letters")
     return tuple(out)
 
 
@@ -151,10 +172,13 @@ def eval_word(band: Band, w: Word, assignment: Sequence[int]) -> int:
     if not w:
         raise EmptyWord("cannot evaluate the empty word in a band")
     try:
-        values = [assignment[v - 1] for v in w]
+        values = [index(assignment[v - 1]) for v in w]
     except IndexError:
         k = len(assignment)
         raise UnboundVariable(f"assignment of length {k} does not cover x{max(w)}") from None
+    except TypeError:  # 2.5 is refused, not read as a row
+        v = next(assignment[v - 1] for v in w if not isinstance(assignment[v - 1], (int, np.integer)))
+        raise OutOfRange(f"assignment value {v!r} is not an integer") from None
     if min(values) < 0 or max(values) >= band.order:  # -1 would read the last row
         v = next(v for v in values if not 0 <= v < band.order)
         raise OutOfRange(f"assignment value {v + 1} outside 1..{band.order}")

@@ -1,13 +1,14 @@
 """Input makers and small readers shared by the test suites: random words,
 the JSON and DIMACS texts of bands, instances and formulas built in memory,
-whether a formula has an empty clause, and bands built as products and as
-subsemigroups of powers."""
+whether a formula has an empty clause, bands built as products and as
+subsemigroups of powers, and the forbidden bands that embedding search finds."""
 
 import json
 
 import numpy as np
 
-from bandsmp import Band, GenSet, closure
+from bandsmp import (FORBIDDEN_CASES, Band, GenSet, closure, construct_forbidden_band,
+                     find_embedding)
 
 
 def random_word(rng, max_var: int, max_len: int) -> tuple[int, ...]:
@@ -60,3 +61,13 @@ def product_band(a, b) -> Band:
     m = b.order
     table = a.itable[:, None, :, None] * m + b.itable[None, :, None, :]
     return Band(table.reshape(a.order * m, -1).tolist())
+
+
+def searched_forbidden(band) -> set[tuple[str, str]]:
+    """The (case, orientation) pairs for which find_embedding finds the
+    forbidden band in band ("S") or in its dual ("dual"): eight backtracking
+    searches that see neither the quasiidentity scan nor its witnesses."""
+    return {(case, orientation)
+            for case in FORBIDDEN_CASES
+            for orientation, target in (("S", band), ("dual", band.dual()))
+            if find_embedding(construct_forbidden_band(case), target) is not None}

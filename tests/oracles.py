@@ -128,6 +128,16 @@ def naive_embedding_exists(small, big):
     return False
 
 
+def is_injective_hom(small, big, image):
+    """Is image, with image[a] the element of big that a goes to, a map from
+    small into big that sends distinct elements apart and a*b to
+    image[a]*image[b] for every pair?"""
+    ms = len(small)
+    if len(image) != ms or len(set(image)) != ms or not set(image) <= set(range(len(big))):
+        return False
+    return all(image[small[a][b]] == big[image[a]][image[b]] for a in range(ms) for b in range(ms))
+
+
 def naive_sat(num_vars, clauses):
     if any(not c for c in clauses):
         return False

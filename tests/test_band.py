@@ -7,7 +7,9 @@ import pytest
 
 from bandsmp import (
     Band,
+    GenSet,
     catalog,
+    closure,
     find_embedding,
     parse_band_text,
 )
@@ -173,20 +175,25 @@ class TestAdjoinIdentity:
         assert find_embedding(s10, ten) is None
 
 
+def generated(band, gens):
+    """The subsemigroup of band generated by gens, as closure() finds it in band^1."""
+    return frozenset(t[0] for t in closure(GenSet.of(band, [(g,) for g in gens], n=1)))
+
+
 class TestSubsemigroup:
     def test_s10_pair(self, s10):
-        assert s10.subsemigroup(b1(2, 3)) == frozenset(b1(2, 3, 4))
+        assert generated(s10, b1(2, 3)) == frozenset(b1(2, 3, 4))
 
     def test_s9_generators(self, s9):
-        assert s9.subsemigroup(b1(1, 2, 3, 5, 6)) == frozenset(range(9))
+        assert generated(s9, b1(1, 2, 3, 5, 6)) == frozenset(range(9))
 
     def test_singleton_and_empty(self, s9):
-        assert s9.subsemigroup([3]) == frozenset([3])
-        assert s9.subsemigroup([]) == frozenset()
+        assert generated(s9, [3]) == frozenset([3])
+        assert generated(s9, []) == frozenset()
 
     def test_out_of_range_generator(self, s9):
         with pytest.raises(OutOfRange):
-            s9.subsemigroup([0, 9])
+            generated(s9, [0, 9])
 
     @pytest.mark.parametrize("name", ["S9", "T13a", "Rect(2,3)"])
     def test_closure_operator_laws(self, name):
@@ -194,11 +201,11 @@ class TestSubsemigroup:
         rng = random.Random(7)
         for _ in range(25):
             gens = frozenset(rng.sample(range(band.order), rng.randint(0, 3)))
-            closed = band.subsemigroup(gens)
+            closed = generated(band, gens)
             assert gens <= closed
-            assert band.subsemigroup(closed) == closed  # idempotent
+            assert generated(band, closed) == closed  # idempotent
             bigger = gens | {rng.randrange(band.order)}
-            assert closed <= band.subsemigroup(bigger)  # monotone
+            assert closed <= generated(band, bigger)  # monotone
             assert closed == frozenset(oracles.naive_subsemigroup(band.table, gens))
 
 

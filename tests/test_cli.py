@@ -65,6 +65,21 @@ class TestClassify:
         assert obj["lambda_witness"] == {"d": 6, "e": 3, "x": 2, "y": 5, "h": 1}
         assert obj["lambda_dual_witness"] is None
 
+    def test_json_forbidden(self, capsys, tmp_path, s9):
+        def forbidden(*argv):
+            code, out, _ = run(capsys, "classify", *argv, "--json")
+            assert code == 0
+            return json.loads(out)["forbidden"]
+
+        assert forbidden("--catalog", "S9") == [
+            {"case": "T9", "orientation": "S", "image": list(range(1, 10))}]
+        assert forbidden("--catalog", "S10") == []
+        assert forbidden("--catalog", "T17")[0]["image"] == list(range(1, 18))
+        path = tmp_path / "dual.band"
+        path.write_text(s9.dual().to_text())
+        assert forbidden("--band", str(path)) == [
+            {"case": "T9", "orientation": "dual", "image": list(range(1, 10))}]
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "classify", "--catalog", "S9")
         _, second, _ = run(capsys, "classify", "--catalog", "S9")
@@ -270,9 +285,9 @@ class TestMalformedInput:
         ('{"n": 1, "generators": [[2.0], [3]], "target": [4]}', ""),
         ('{"n": 1, "generators": [[true], [3]], "target": [4]}', ""),
         ('{"n": 1.5, "generators": [[2], [3]], "target": [4]}', ""),
-        ('{"n": -1, "generators": [], "target": [4]}', "ParseError: instance arity -1 outside"),
+        ('{"n": -1, "generators": [], "target": [4]}', "instance arity -1 outside"),
         ('{"n": %d, "generators": [], "target": [4]}' % 10**20,
-         f"ParseError: instance arity {10**20} outside"),
+         f"instance arity {10**20} outside"),
     ], ids=["non-integer token", "no generators key", "truncated JSON", "1e400",
             "empty file", "short header", "generator count", "float label",
             "integral float label", "bool label", "float n", "negative n", "huge n"])
@@ -280,7 +295,7 @@ class TestMalformedInput:
         path = tmp_path / "inst.txt"
         path.write_text(text)
         code, _, err = run(capsys, "smp", "--catalog", "S10", "--instance", str(path))
-        self.assert_one_line_error(code, err, "ParseError")
+        self.assert_one_line_error(code, err, f"ParseError: {path}: ")
         assert message in err
 
     @pytest.mark.parametrize("text", [
@@ -297,7 +312,7 @@ class TestMalformedInput:
         path = tmp_path / "band.txt"
         path.write_text(text)
         code, _, err = run(capsys, "validate", "--band", str(path))
-        self.assert_one_line_error(code, err, "ParseError")
+        self.assert_one_line_error(code, err, f"ParseError: {path}: band")
 
     @pytest.mark.parametrize("name, kind", [
         ("Q", "ParseError"), ("G", "ParseError"), ("", "ParseError"),
@@ -352,6 +367,23 @@ class TestMalformedInput:
         assert lines[3].startswith(f"{not_utf8}\terror (ParseError: {not_utf8}: ")
         assert len(lines) == 4 and code == 2 and err == ""
         assert run(capsys, *argv) == (code, out, err)  # serial output is the same
+
+    def test_parse_error_names_file_and_line(self, capsys, tmp_path):
+        # blank and comment lines count: the bad token is on line 4 of each file
+        band = tmp_path / "bad.band"
+        band.write_text("2\n# table\n1 1\n1 x\n")
+        code, _, err = run(capsys, "validate", "--band", str(band))
+        assert code == 2 and err == (
+            f"error: ParseError: {band}: band: line 4: invalid literal for int() with base 10: 'x'\n")
+        ok, bad = tmp_path / "ok.smp", tmp_path / "bad.smp"
+        ok.write_text("1 2\n2\n3\n4\n")
+        bad.write_text("1 2\n\n2\nx3\n4\n")
+        message = f"ParseError: {bad}: instance: line 4: invalid literal for int() with base 10: 'x3'"
+        code, _, err = run(capsys, "smp", "--catalog", "S10", "--instance", str(bad))
+        assert code == 2 and err == f"error: {message}\n"
+        code, out, err = run(capsys, "smp", "--catalog", "S10", "--instance", str(ok), str(bad))
+        assert code == 2 and err == ""
+        assert out.splitlines() == [f"{ok}\tmember", f"{bad}\terror ({message})"]
 
     def test_unreadable_single_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "smp", "--catalog", "S10", "--instance", str(tmp_path))
@@ -443,6 +475,13 @@ class TestWords:
         monkeypatch.setattr(words, "MAX_WORD_LENGTH", 1000)
         code, out, err = run(capsys, "words", "hn", "--n", "1000", "1 2 3")
         assert code == 2 and out == "" and "ArityTooLarge" in err
+
+    def test_hn_refused_before_building(self, capsys):
+        # 167,165,999 letters; building up to the bound took about 20 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, "words", "hn", "--n", "1000", "1 2 3")
+        assert code == 2 and out == "" and "ArityTooLarge" in err
+        assert time.perf_counter() - start < 0.5
 
     def test_identity_fails(self, capsys):
         code, out, _ = run(

@@ -15,7 +15,7 @@ from bandsmp import (
     embeds_forbidden,
     find_embedding,
     find_lambda_witness,
-    generated_T,
+    forbidden_subband,
     is_witness,
     normalize_witness,
     quasi,
@@ -23,7 +23,7 @@ from bandsmp import (
 from bandsmp.errors import NotAWitness, UnknownName
 
 import oracles
-from helpers import product_band, subpower_band
+from helpers import product_band, searched_forbidden, subpower_band
 
 S9_WITNESS = Witness(d=5, e=2, x=1, y=4, h=0)  # 1-based (6, 3, 2, 5, 1)
 
@@ -61,6 +61,20 @@ def zoo(rng, count):
 def referee(band):
     w = oracles.naive_lambda_witness(band.table)
     return None if w is None else Witness(*w)
+
+
+def check_report(band):
+    """embeds_forbidden(band) against the eight embedding searches: an entry
+    for just the orientations where some forbidden band embeds, each naming a
+    case found there, with an image that the oracle accepts."""
+    found = searched_forbidden(band)
+    entries = embeds_forbidden(band).entries
+    assert {o for _, o, _ in entries} == {o for _, o in found}, (band.table, found)
+    for case, orientation, image in entries:
+        assert (case, orientation) in found, (band.table, case, orientation)
+        target = band if orientation == "S" else band.dual()
+        assert oracles.is_injective_hom(catalog(case).table, target.table, image), \
+            (band.table, case, orientation, image)
 
 
 class TestLambdaScan:
@@ -255,9 +269,32 @@ class TestGeneratedT:
         "name,size", [("S9", 9), ("T9", 9), ("T13a", 13), ("T13b", 13), ("T17", 17)]
     )
     def test_sizes(self, name, size):
+        # each witness generates its own table: S9 is T9, and the image is the identity
         band = catalog(name)
         w = normalize_witness(band, find_lambda_witness(band))
-        assert len(generated_T(band, w)) == size
+        case, image = forbidden_subband(band, w)
+        assert case == ("T9" if name == "S9" else name)
+        assert image == tuple(range(size))
+
+    def test_witness_in_a_product(self):
+        # T13b x SL-chain(2) holds T13b twice; the odometer-least witness lies in the lower copy
+        band = product_band(catalog("T13b"), catalog("SL-chain(2)"))
+        w = normalize_witness(band, find_lambda_witness(band))
+        case, image = forbidden_subband(band, w)
+        assert case == "T13b" and len(image) == 13
+        assert oracles.is_injective_hom(catalog("T13b").table, band.table, image)
+
+    def test_witness_not_normalized(self):
+        # <A> in T9^2, A the diagonal witness and (4, 6): its least witness is not
+        # normalized, and its words embed no forbidden band; normalized, it generates T17
+        band = subpower_band(catalog("T9"), [(3, 5), (5, 5), (2, 2), (1, 1), (4, 4), (0, 0)])
+        w = find_lambda_witness(band)
+        assert normalize_witness(band, w) != w
+        with pytest.raises(AssertionError, match="internal bug"):
+            forbidden_subband(band, w)
+        case, image = forbidden_subband(band, normalize_witness(band, w))
+        assert case == "T17" and ("T17", "S") in searched_forbidden(band)
+        assert oracles.is_injective_hom(catalog("T17").table, band.table, image)
 
     def test_bottom_class_structure(self):
         # d/R = {d, dx, de, dxe} and d/L = {d, xd, yd} inside the generated band
@@ -331,7 +368,7 @@ class TestForbiddenBands:
 class TestEmbedsForbidden:
     def test_s9_contains_t9(self, s9):
         report = embeds_forbidden(s9)
-        assert ("T9", "S") in {(c, o) for c, o, emb in report.entries if emb is not None}
+        assert report.entries == (("T9", "S", tuple(range(9))),)
         assert report.any_embedding
 
     def test_s10_contains_none(self, s10):
@@ -341,10 +378,19 @@ class TestEmbedsForbidden:
     def test_two_element_semilattice(self):
         assert not embeds_forbidden(catalog("SL-chain(2)")).any_embedding
 
+    def test_dual_orientation(self, s9):
+        report = embeds_forbidden(s9.dual())
+        assert report.entries == (("T9", "dual", tuple(range(9))),)
+
     @pytest.mark.parametrize("name", ["S9", "S10", "T13a", "Rect(2,3)"])
     def test_flag_matches_classification(self, name):
+        # the classification here is the search's, which does not read the scan
         band = catalog(name)
-        assert embeds_forbidden(band).any_embedding == (not classify(band).tractable)
+        assert embeds_forbidden(band).any_embedding == bool(searched_forbidden(band))
+
+    def test_entries_match_the_search_on_catalog_derived_bands(self):
+        for band in catalog_derived():
+            check_report(band)
 
 
 class TestZoo:
@@ -360,6 +406,5 @@ class TestZoo:
                     assert classify(b).tractable, (base, b.table)
                 if planted:
                     assert not classify(b).tractable, (base, b.table)
-            # the report searches the band and its dual both
-            assert embeds_forbidden(band).any_embedding == (not classify(band).tractable), \
-                (base, band.table)
+            # the report and the search cover the band and its dual both
+            check_report(band)

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import re
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from bandsmp import (
@@ -105,6 +107,25 @@ class TestHn:
         for n, w in [(7, (1,)), (1000, (1, 2, 3))]:
             with pytest.raises(ArityTooLarge, match="more than 5 letters"):
                 h_n(n, w)
+
+    def test_refusal_is_exact(self, monkeypatch):
+        # the length is counted before building: a bound one below it refuses, at it builds
+        rng = random.Random(4)
+        cases = [(rng.randint(2, 6), random_word(rng, 4, 7)) for _ in range(300)]
+        for n, w, length in [(n, w, len(h_n(n, w))) for n, w in cases]:
+            monkeypatch.setattr(words, "MAX_WORD_LENGTH", length - 1)
+            with pytest.raises(ArityTooLarge):
+                h_n(n, w)
+            monkeypatch.setattr(words, "MAX_WORD_LENGTH", length)
+            assert len(h_n(n, w)) == length
+
+    def test_refused_before_building(self):
+        # h_1000(1 2 3) has 167,165,999 letters, h_(10^8)(1) has 10^8 - 1
+        for n, w in [(1000, (1, 2, 3)), (10**8, (1,))]:
+            start = time.perf_counter()
+            with pytest.raises(ArityTooLarge):
+                h_n(n, w)
+            assert time.perf_counter() - start < 0.5
 
     def test_content_shrinks(self):
         rng = random.Random(2)
@@ -244,6 +265,15 @@ class TestEval:
                 eval_word(s10, w, assign)
         with pytest.raises(UnboundVariable, match="does not cover x3"):
             eval_word(s10, (1, 3), [10, 0])
+
+
+    def test_non_integer_values(self, s10):
+        # 2.5 came back unread from a one-letter word and was a bare TypeError from two
+        for w in [(1,), (1, 1), (2, 1)]:
+            for value in (2.5, "3", np.float64(2.0)):
+                with pytest.raises(OutOfRange, match=re.escape(f"value {value!r} is not an integer")):
+                    eval_word(s10, w, [value, 0])
+        assert eval_word(s10, (1, 2), [np.int64(1), 2]) == 3
 
 
 class TestSatisfiesIdentity:
