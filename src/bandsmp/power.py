@@ -36,16 +36,16 @@ MAX_ARITY = int(np.iinfo(np.intp).max)
 
 
 def _refusal(t: Sequence, m: int) -> Optional[str]:
-    """Why the first coordinate of t that is not an integer in 0..m-1 is
-    refused, or None. An int or a numpy integer is an integer; 1.9 is
-    refused, not read as 1."""
+    """Why the first value in t that is not an integer in 0..m-1 is refused,
+    after the noun its caller gives, or None. An int or a numpy integer is
+    an integer; 1.9 is refused, not read as 1."""
     for v in t:
         try:
             v = index(v)
         except TypeError:
-            return f"coordinate {v!r} is not an integer"
+            return f"{v!r} is not an integer"
         if not 0 <= v < m:
-            return f"coordinate {v + 1} outside 1..{m}"
+            return f"{v + 1} outside 1..{m}"
     return None
 
 
@@ -82,7 +82,7 @@ class GenSet:
         if d < r:
             raise ArityMismatch(f"duplicate generator {members[d]}")
         if r < k:
-            raise OutOfRange(_refusal(members[r], m))
+            raise OutOfRange(f"coordinate {_refusal(members[r], m)}")
         if k < len(members):
             t = members[k]
             raise ArityMismatch(f"generator {t} has arity {len(t)}, expected {n}")
@@ -108,7 +108,7 @@ class GenSet:
             if ((row >= 0) & (row < m)).all():
                 row.setflags(write=False)
                 return row
-        raise OutOfRange(_refusal(t, m))
+        raise OutOfRange(f"coordinate {_refusal(t, m)}")
 
     def __len__(self) -> int:
         return len(self.members)

@@ -224,10 +224,13 @@ def canonical_forbidden_witness() -> Witness:
 # -- the forbidden band a witness generates --------------------------------------
 
 def forbidden_subband(band: Band, w: Witness) -> tuple[str, tuple[int, ...]]:
-    """(case, image) for a normalized witness: the forbidden band that w
-    generates, with image[i] the value at w of the word of element i of
-    construct_forbidden_band(case). The case is the one whose quotient of the
-    rows d, xd, yd is the one their values at w make."""
+    """(case, image) for a normalized witness, one that normalize_witness
+    leaves as it is: the forbidden band that w generates, with image[i] the
+    value at w of the word of element i of construct_forbidden_band(case).
+    The case is the one whose quotient of the rows d, xd, yd is the one
+    their values at w make."""
+    if normalize_witness(band, w) != w:  # a non-witness raises NotAWitness there
+        raise NotAWitness(f"{w} is not normalized")
     at = dict(zip("dexyh", w.as_tuple()))
 
     def value(word: str) -> int:
@@ -235,8 +238,7 @@ def forbidden_subband(band: Band, w: Witness) -> tuple[str, tuple[int, ...]]:
 
     rows = [value(t + "d") for t in _ROWS]
     quot = tuple(_ROWS[rows.index(v)] for v in rows)
-    # rows falling as in no case (d = yd != xd) leave T17's image below not injective
-    case = next((c for c, q in _CASES.items() if q == quot), "T17")
+    case = {q: c for c, q in _CASES.items()}[quot]
     image = tuple(value(el if isinstance(el, str) else "d".join(el)) for el in _elements(case))
     small, img = construct_forbidden_band(case), np.array(image)
     if len(set(image)) < small.order or (img[small.itable] != band.itable[img[:, None], img]).any():
@@ -268,8 +270,6 @@ def normalized_witnesses(band: Band) -> list[tuple[str, Band, Witness]]:
 def embeds_forbidden(band: Band) -> EmbeddingReport:
     """An entry for each orientation whose scan fails, so there is one iff
     the band is not tractable."""
-    entries = []
-    for orientation, target, w in normalized_witnesses(band):
-        case, image = forbidden_subband(target, w)
-        entries.append((case, orientation, image))
-    return EmbeddingReport(entries=tuple(entries))
+    return EmbeddingReport(entries=tuple(
+        (case, orientation, image) for orientation, target, w in normalized_witnesses(band)
+        for case, image in [forbidden_subband(target, w)]))

@@ -20,7 +20,7 @@ import numpy as np
 from .band import Band
 from .errors import (ArityTooLarge, EmptyWord, OutOfRange, ParseError, UnboundVariable,
                      UnsupportedIndex, parsing)
-from .power import _BLOCK_BYTES, _fold
+from .power import _BLOCK_BYTES, _fold, _refusal
 
 Word = tuple[int, ...]
 
@@ -72,7 +72,7 @@ def _h_length(n: int, w: Word) -> int:
         return n - 1
     length, level = 0, Counter([tuple(w)])
     for _ in range(n - 2):
-        if length > MAX_WORD_LENGTH:
+        if length > MAX_WORD_LENGTH or not level:  # the empty word empties the level
             break
         below = Counter()
         for u, calls in level.items():
@@ -172,17 +172,14 @@ def eval_word(band: Band, w: Word, assignment: Sequence[int]) -> int:
     if not w:
         raise EmptyWord("cannot evaluate the empty word in a band")
     try:
-        values = [index(assignment[v - 1]) for v in w]
+        values = [assignment[v - 1] for v in w]
     except IndexError:
         k = len(assignment)
         raise UnboundVariable(f"assignment of length {k} does not cover x{max(w)}") from None
-    except TypeError:  # 2.5 is refused, not read as a row
-        v = next(assignment[v - 1] for v in w if not isinstance(assignment[v - 1], (int, np.integer)))
-        raise OutOfRange(f"assignment value {v!r} is not an integer") from None
-    if min(values) < 0 or max(values) >= band.order:  # -1 would read the last row
-        v = next(v for v in values if not 0 <= v < band.order)
-        raise OutOfRange(f"assignment value {v + 1} outside 1..{band.order}")
-    return band.prod(values)
+    reason = _refusal(values, band.order)  # -1 would read the last row; 2.5 no row
+    if reason:
+        raise OutOfRange(f"assignment value {reason}")
+    return band.prod(map(index, values))
 
 
 def satisfies_identity(

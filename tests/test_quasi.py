@@ -290,8 +290,10 @@ class TestGeneratedT:
         band = subpower_band(catalog("T9"), [(3, 5), (5, 5), (2, 2), (1, 1), (4, 4), (0, 0)])
         w = find_lambda_witness(band)
         assert normalize_witness(band, w) != w
-        with pytest.raises(AssertionError, match="internal bug"):
+        with pytest.raises(NotAWitness, match="is not normalized"):
             forbidden_subband(band, w)
+        with pytest.raises(NotAWitness, match="does not witness"):
+            forbidden_subband(band, Witness(0, 0, 0, 0, 0))
         case, image = forbidden_subband(band, normalize_witness(band, w))
         assert case == "T17" and ("T17", "S") in searched_forbidden(band)
         assert oracles.is_injective_hom(catalog("T17").table, band.table, image)

@@ -126,6 +126,9 @@ class TestHn:
             with pytest.raises(ArityTooLarge):
                 h_n(n, w)
             assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()  # the empty word is built at once, whatever n
+        assert h_n(10**12, ()) == ()
+        assert time.perf_counter() - start < 0.5
 
     def test_content_shrinks(self):
         rng = random.Random(2)
