@@ -18,7 +18,7 @@ from bandsmp import (
 
 
 def show_band(band):
-    print(f"{band.name}: order {band.order}, J-quotient height {band.height()}")
+    print(f"{band.name}: order {band.order}, J-quotient height {band.green.height}")
     classes = " ".join(
         "{" + ",".join(str(v + 1) for v in cls) + "}" for cls in band.green.j_classes
     )

@@ -83,7 +83,7 @@ def main():
             slow = member_closure(gens, target)
             checked += 1
             agreements += fast == slow
-            bound = max(bound, n * (band.height() - 1))
+            bound = max(bound, n * (band.green.height - 1))
             worst = max(worst, stats.infix_pass_max, stats.suffix_call_max)
         print(f"{band.name}: 300 instances checked, loop bound n(h-1) <= {bound}")
     print(f"agreement: {agreements}/{checked}, worst loop count seen: {worst}")

@@ -141,9 +141,6 @@ class Band:
 
     # -- basic operations ----------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def prod(self, elems: Iterable[int]) -> int:
         it = iter(elems)
         try:
@@ -154,20 +151,6 @@ class Band:
         for x in it:
             acc = t[acc][x]
         return acc
-
-    def preorder(self, rel: str) -> np.ndarray:
-        """The boolean matrix of a preorder: rel is 'L', 'R', or 'J'."""
-        if rel not in ("L", "R", "J"):
-            raise ValueError(f"unknown preorder {rel!r}; expected 'L', 'R' or 'J'")
-        return getattr(self.green, "leq_" + rel.lower())
-
-    def leq(self, rel: str, a: int, b: int) -> bool:
-        """Preorder query: a <= b in the preorder rel ('L', 'R', or 'J')."""
-        return bool(self.preorder(rel)[a, b])
-
-    def height(self) -> int:
-        """Number of classes in the longest <=_J chain of the semilattice S/J."""
-        return self.green.height
 
     def dual(self) -> "Band":
         """The band on the same carrier with reversed multiplication."""

@@ -72,12 +72,12 @@ def _cmd_green(args) -> int:
     if args.json:
         print(json.dumps({
             "order": band.order,
-            "height": band.height(),
+            "height": band.green.height,
             "j_classes": classes,
         }))
     else:
         print(f"order: {band.order}")
-        print(f"height: {band.height()}")
+        print(f"height: {band.green.height}")
         parts = " ".join("{" + ",".join(map(str, c)) + "}" for c in classes)
         print(f"J-classes: {parts}")
     return EXIT_TRUE
@@ -141,11 +141,12 @@ def _decide_one(inst, algo, force, cap):
     lines = [f"method: {method}"]
     obj = {"verdict": verdict, "method": method}
     if method == "poly":
-        lines.append(f"loop bound n(h-1): {stats.bound}")
+        bound = inst.gens.n * (band.green.height - 1)
+        lines.append(f"loop bound n(h-1): {bound}")
         lines.append(f"infix inner-body max: {stats.infix_pass_max}")
         lines.append(f"suffix while max: {stats.suffix_call_max}")
         obj["stats"] = {
-            "bound": stats.bound,
+            "bound": bound,
             "infix_inner_max": stats.infix_pass_max,
             "suffix_while_max": stats.suffix_call_max,
         }

@@ -80,11 +80,15 @@ def read_text(text: str):
 
 def parse_file(path: str, parse):
     """parse(the text of a band, instance or DIMACS file), with the file
-    named in a ParseError: one that parse raises, or the file not being UTF-8."""
+    named in any error that parse raises, of the same class, and in a
+    ParseError for a file that is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except (ParseError, UnicodeDecodeError) as exc:
+    except BandSmpError as exc:
+        exc.args = (f"{path}: {exc}",)  # some classes take other constructor arguments
+        raise
+    except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -149,15 +153,7 @@ class PreconditionViolated(BandSmpError):
         super().__init__(f"precondition violated: {which}")
 
 
-class LambdaNotSatisfied(BandSmpError):
-    pass
-
-
 class NotTractable(BandSmpError):
-    pass
-
-
-class IndexOutOfRange(BandSmpError):
     pass
 
 

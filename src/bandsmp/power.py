@@ -102,19 +102,15 @@ class GenSet:
         """t checked as members are, for arity and then range, into a read-only intp row."""
         if len(t) != self.n:
             raise ArityMismatch(f"target arity {len(t)} != generator arity {self.n}")
-        m = self.band.order
-        with suppress(OverflowError, TypeError):  # beyond intp or not an integer: refused
-            row = np.fromiter(map(index, t), np.intp, self.n)
-            if ((row >= 0) & (row < m)).all():
-                row.setflags(write=False)
-                return row
-        raise OutOfRange(f"coordinate {_refusal(t, m)}")
+        why = _refusal(t, self.band.order)
+        if why is not None:
+            raise OutOfRange(f"coordinate {why}")
+        row = np.array(t, np.intp)
+        row.setflags(write=False)
+        return row
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 @dataclass(frozen=True)
@@ -237,13 +233,9 @@ class _Closure:
             out[rank] = keys.view(self._dtype).reshape(len(keys), self._width)
         return out[:, :n]
 
-    def links(self) -> tuple[np.ndarray, np.ndarray]:
-        """(parent, gen), indexed by insertion number."""
-        return np.concatenate(self._parent), np.concatenate(self._gen)
-
     def word(self) -> list[int]:
         """The 1-based generator word that the BFS built the target from."""
-        parent, gen = self.links()
+        parent, gen = np.concatenate(self._parent), np.concatenate(self._gen)
         j = self.hit
         word = [int(gen[j]) + 1]
         while parent[j] >= 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .band import Band
-from .errors import DimacsSyntaxError, NotAWitness, NotAWitnessingWord
+from .errors import DimacsSyntaxError, NotAWitness, NotAWitnessingWord, OutOfRange
 from .power import GenSet, SmpInstance
 from .quasi import Witness, canonical_forbidden_witness, construct_forbidden_band, is_witness
 from .smp import verify_word
@@ -33,7 +33,7 @@ class SatInstance:
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
-                    raise DimacsSyntaxError(ci + 1, f"literal {lit} out of range")
+                    raise OutOfRange(f"clause {ci + 1}: literal {lit} out of range")
 
     def used_variables(self) -> list[int]:
         used = set()

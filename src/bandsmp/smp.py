@@ -24,13 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .band import Band
-from .errors import (
-    EmptyWord,
-    IndexOutOfRange,
-    LambdaNotSatisfied,
-    NotTractable,
-    PreconditionViolated,
-)
+from .errors import EmptyWord, NotTractable, OutOfRange, PreconditionViolated
 from .power import (
     _BLOCK_BYTES,
     _fold,
@@ -53,16 +47,9 @@ class LoopStats:
     suffix-solver call.
     """
 
-    bound: int = 0
     infix_pass_max: int = 0
     suffix_call_max: int = 0
     witness_pair: Optional[tuple[ElementTuple, ElementTuple]] = None
-
-    def record_infix_pass(self, count: int) -> None:
-        self.infix_pass_max = max(self.infix_pass_max, count)
-
-    def record_suffix_call(self, count: int) -> None:
-        self.suffix_call_max = max(self.suffix_call_max, count)
 
 
 @dataclass(frozen=True)
@@ -89,13 +76,14 @@ class CpInfixInstance:
         return self.gens.band
 
 
-def _require_lambda(band: Band, force: bool) -> None:
+def _require_scans(band: Band, force: bool, both: bool) -> None:
+    """NotTractable unless forced or band passes its lambda scan and, if both, its dual one."""
     if force:
         return
-    if classify(band).lambda_witness is not None:
-        raise LambdaNotSatisfied(
-            "band fails the quasiidentity scan; pass force=True for a sound-only run"
-        )
+    c = classify(band)
+    if not (c.tractable if both else c.lambda_witness is None):
+        raise NotTractable(f"band fails {'a' if both else 'the'} quasiidentity scan; "
+                           "pass force=True for a sound-only run")
 
 
 def _tuple(row: Optional[np.ndarray]) -> Optional[ElementTuple]:
@@ -136,7 +124,7 @@ def cp_infix(
     solution is re-verified before returning, so non-None answers are
     sound unconditionally.
     """
-    _require_lambda(inst.band, force)
+    _require_scans(inst.band, force, both=False)
     c, d, e = map(inst.gens.row, (inst.c, inst.d, inst.e))
     A = inst.gens.rows
     return _tuple(_cp_infix_core(inst.band, A, np.ones(len(A), bool), c, d, e, stats,
@@ -166,7 +154,7 @@ def _cp_infix_core(band: Band, A: np.ndarray, sub: np.ndarray, c: np.ndarray, d:
             first = hit.argmax()
             if hit[first]:
                 if stats is not None:
-                    stats.record_infix_pass(body_count)
+                    stats.infix_pass_max = max(stats.infix_pass_max, body_count)
                 result = t[y, A[first]]
                 if (t[t[d, result], e] != c).any():
                     raise AssertionError("infix solver returned an unverified solution")
@@ -190,7 +178,7 @@ def _cp_infix_core(band: Band, A: np.ndarray, sub: np.ndarray, c: np.ndarray, d:
                     f"infix inner loop exceeded the n(h-1) bound of {bound}"
                 )
         if stats is not None:
-            stats.record_infix_pass(body_count)
+            stats.infix_pass_max = max(stats.infix_pass_max, body_count)
     return None
 
 
@@ -222,7 +210,7 @@ def cp_suffix(
     Each refinement step solves at most |A| infix instances over the
     generators lying J-above the current x.
     """
-    _require_lambda(gens.band, force)
+    _require_scans(gens.band, force, both=False)
     return _tuple(_cp_suffix_core(gens.band, gens.rows, gens.row(b), stats))
 
 
@@ -256,7 +244,7 @@ def _cp_suffix_core(band: Band, A: np.ndarray, b: np.ndarray,
                 break
         else:
             if stats is not None:
-                stats.record_suffix_call(iterations)
+                stats.suffix_call_max = max(stats.suffix_call_max, iterations)
             return None
         x = t[t[a, y], x]
         iterations += 1
@@ -265,7 +253,7 @@ def _cp_suffix_core(band: Band, A: np.ndarray, b: np.ndarray,
                 f"suffix while loop exceeded the n(h-1) bound of {bound}"
             )
     if stats is not None:
-        stats.record_suffix_call(iterations)
+        stats.suffix_call_max = max(stats.suffix_call_max, iterations)
     if not leq_cw(green.leq_l, b, x):
         raise AssertionError("suffix solver returned an unverified solution")
     return x
@@ -282,12 +270,7 @@ def smp_decide_poly(
     R-related to b; then b = y x. Requires a tractable band unless forced.
     """
     band = inst.band
-    if not force and not classify(band).tractable:
-        raise NotTractable(
-            "band fails a quasiidentity scan; pass force=True for a sound-only run"
-        )
-    if stats is not None:
-        stats.bound = inst.gens.n * (band.height() - 1)
+    _require_scans(band, force, both=True)
     A, b = inst.gens.rows, inst.row
     x = _cp_suffix_core(band, A, b, stats)
     if x is None:
@@ -329,5 +312,5 @@ def verify_word(gens: GenSet, word: Sequence[int], b: ElementTuple) -> bool:
     k = len(gens)
     for i in word:
         if not 1 <= i <= k:
-            raise IndexOutOfRange(f"generator index {i} outside 1..{k}")
+            raise OutOfRange(f"generator index {i} outside 1..{k}")
     return _fold(gens.band.itable, gens.rows, [i - 1 for i in word]).tolist() == list(b)

@@ -385,6 +385,22 @@ class TestMalformedInput:
         assert code == 2 and err == ""
         assert out.splitlines() == [f"{ok}\tmember", f"{bad}\terror ({message})"]
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["reduce", "--catalog", "S9", "--cnf", "{f}", "-o", "{f}.out"], "p cnf 1 1\nx 0\n",
+         "DimacsSyntaxError: {f}: DIMACS syntax error on line 2: bad literal 'x'"),
+        (["validate", "--band", "{f}"], "2\n1 2\n2 3\n",
+         "OutOfRange: {f}: entry at (2,2) is 3, outside 1..2"),
+        (["validate", "--band", "{f}"], "3\n1 1 1\n1 2 1\n1 2 3\n",
+         "NotAssociative: {f}: not associative at (2,3,2): (2*3)*2 != 2*(3*2)"),
+        (["smp", "--catalog", "S10", "--instance", "{f}"], "1 1\n11\n1\n",
+         "OutOfRange: {f}: coordinate 11 outside 1..10"),
+    ], ids=["cnf", "band entry", "band axiom", "instance coordinate"])
+    def test_every_input_error_names_its_file(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, *(a.format(f=path) for a in argv))
+        assert (code, out, err) == (2, "", f"error: {message.format(f=path)}\n")
+
     def test_unreadable_single_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "smp", "--catalog", "S10", "--instance", str(tmp_path))
         self.assert_one_line_error(code, err, "IsADirectoryError")

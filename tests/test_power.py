@@ -50,17 +50,17 @@ class TestMul:
 
 class TestPreorderCw:
     def test_j_example(self, s9):
-        assert leq_cw(s9.preorder("J"), (7, 7), (2, 4))  # (8,8) vs (3,5)
+        assert leq_cw(s9.green.leq_j, (7, 7), (2, 4))  # (8,8) vs (3,5)
 
     def test_reflexive(self, s9):
         rng = random.Random(1)
         for _ in range(30):
             t = tuple(rng.randrange(9) for _ in range(3))
-            for rel in "LRJ":
-                assert leq_cw(s9.preorder(rel), t, t)
+            for mat in (s9.green.leq_l, s9.green.leq_r, s9.green.leq_j):
+                assert leq_cw(mat, t, t)
 
     def test_l_example(self, s9):
-        assert not leq_cw(s9.preorder("L"), (2,), (7,))  # 3*8 = 8 != 3
+        assert not leq_cw(s9.green.leq_l, (2,), (7,))  # 3*8 = 8 != 3
 
     @pytest.mark.parametrize("name", ["S9", "S10", "Rect(2,3)"])
     def test_j_matches_xyx_rule(self, name):
@@ -71,7 +71,7 @@ class TestPreorderCw:
             a = tuple(rng.randrange(band.order) for _ in range(n))
             b = tuple(rng.randrange(band.order) for _ in range(n))
             rule = mul_tuple(band, mul_tuple(band, a, b), a) == a
-            assert leq_cw(band.preorder("J"), a, b) == rule
+            assert leq_cw(band.green.leq_j, a, b) == rule
 
     def test_dual_swaps_l_and_r(self, s9):
         d = s9.dual()
@@ -79,7 +79,7 @@ class TestPreorderCw:
         for _ in range(100):
             a = tuple(rng.randrange(9) for _ in range(2))
             b = tuple(rng.randrange(9) for _ in range(2))
-            assert leq_cw(s9.preorder("L"), a, b) == leq_cw(d.preorder("R"), a, b)
+            assert leq_cw(s9.green.leq_l, a, b) == leq_cw(d.green.leq_r, a, b)
 
 
 class TestGenSet:

@@ -7,6 +7,7 @@ import pytest
 
 from bandsmp import (
     SatInstance,
+    catalog,
     Witness,
     assignment_to_word,
     canonical_forbidden_witness,
@@ -19,9 +20,9 @@ from bandsmp import (
     verify_word,
     word_to_assignment,
 )
-from bandsmp.errors import DimacsSyntaxError, NotAWitness, NotAWitnessingWord
+from bandsmp.errors import DimacsSyntaxError, NotAWitness, NotAWitnessingWord, OutOfRange
 
-from helpers import format_dimacs, has_empty_clause
+from helpers import format_dimacs, has_empty_clause, product_band
 from oracles import naive_sat
 
 S9_WITNESS = Witness(d=5, e=2, x=1, y=4, h=0)
@@ -69,6 +70,13 @@ class TestParseDimacs:
     def test_clause_count_mismatch(self):
         with pytest.raises(DimacsSyntaxError):
             parse_dimacs("p cnf 1 2\n1 0\n")
+
+    def test_built_formula_names_the_clause(self):
+        # a SatInstance built in code has no DIMACS lines to name
+        with pytest.raises(OutOfRange, match="^clause 1: literal 2 out of range$"):
+            SatInstance(1, (frozenset({2}),))
+        with pytest.raises(OutOfRange, match="^clause 2: literal 0 out of range$"):
+            SatInstance(1, (frozenset({1}), frozenset({0})))
 
     def test_format_round_trip(self):
         sat = SatInstance(3, (frozenset({1, -2}), frozenset({3})))
@@ -160,6 +168,20 @@ class TestSatToSmp:
         with pytest.raises(NotAWitness):
             sat_to_smp(SatInstance(1, (frozenset({1}),)), s9, bad)
 
+    def test_witness_that_is_not_normalized_rejected(self):
+        # a witness of T9 x SL-chain(2) whose h is not an identity on d, e, x, y
+        band = product_band(catalog("T9"), catalog("SL-chain(2)"))
+        w = Witness(10, 4, 2, 9, 0)
+        sat = SatInstance(1, (frozenset({1}),))
+        with pytest.raises(NotAWitness, match="is not normalized"):
+            sat_to_smp(sat, band, w)
+        out = sat_to_smp(sat, band, normalize_witness(band, w))
+        assert out.instance.gens.n == 3
+
+    def test_band_without_witness_rejected(self):
+        with pytest.raises(NotAWitness, match="witness must be supplied"):
+            sat_to_smp(SatInstance(1, (frozenset({1}),)), catalog("T9"))
+
     def test_equivalence_with_sat_oracle_random(self):
         rng = random.Random(2)
         for _ in range(8):
@@ -186,6 +208,11 @@ class TestRoundTrips:
         out = sat_to_smp(SatInstance(1, (frozenset({1}),)))
         word = assignment_to_word(out, [False])
         assert not verify_word(out.instance.gens, word, out.instance.target)
+
+    def test_assignment_of_the_wrong_length_rejected(self):
+        out = sat_to_smp(SatInstance(2, (frozenset({1, 2}),)))
+        with pytest.raises(NotAWitnessingWord, match="assignment length 1 != 2 variables"):
+            assignment_to_word(out, [True])
 
     def test_word_to_assignment(self):
         out = sat_to_smp(SatInstance(1, (frozenset({1}),)))
