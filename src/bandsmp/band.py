@@ -75,10 +75,8 @@ class Band:
                     )
         self.order = m
         self.table = tuple(rows)
-        # the same table as the smallest unsigned numpy dtype that holds m - 1,
-        # and as intp for index arithmetic, which then needs no cast per lookup
-        self.array = np.array(rows, dtype=np.min_scalar_type(m - 1))
-        self.itable = self.array.astype(np.intp)
+        # the same table as intp for index arithmetic, which then needs no cast per lookup
+        self.itable = np.array(rows, dtype=np.intp)
         self.name = name
         self._validate_axioms()
         self.green = self._compute_green()
@@ -111,15 +109,9 @@ class Band:
         leq_r = t.T == col          # b*a == a
         leq_j = t[t, col] == col    # a*b*a == a
         eq_j = leq_j & leq_j.T
-        j_class_of = [-1] * m
-        classes: list[tuple[int, ...]] = []
-        for a in range(m):
-            if j_class_of[a] >= 0:
-                continue
-            members = tuple(int(b) for b in np.nonzero(eq_j[a])[0])
-            for b in members:
-                j_class_of[b] = len(classes)
-            classes.append(members)
+        # a J-class is named by its least element, and the classes are numbered in that order
+        least = eq_j.argmax(1)
+        names = np.flatnonzero(least == np.arange(m))
         # longest strict J-chains; what is strictly J-below a has a smaller down-set
         under = leq_j.T & ~leq_j  # under[a, b]: b strictly J-below a
         h = np.ones(m, np.intp)
@@ -134,8 +126,8 @@ class Band:
             eq_l=eq_l,
             leq_r=leq_r,
             leq_j=leq_j,
-            j_class_of=tuple(j_class_of),
-            j_classes=tuple(classes),
+            j_class_of=tuple(names.searchsorted(least).tolist()),
+            j_classes=tuple(tuple(np.flatnonzero(eq_j[a]).tolist()) for a in names),
             height=height,
         )
 

@@ -160,9 +160,10 @@ class NotTractable(BandSmpError):
 # --- reduction ---
 
 class DimacsSyntaxError(BandSmpError):
-    def __init__(self, line: int, detail: str):
+    def __init__(self, line: int | None, detail: str):
         self.line = line
-        super().__init__(f"DIMACS syntax error on line {line}: {detail}")
+        where = "" if line is None else f" on line {line}"
+        super().__init__(f"DIMACS syntax error{where}: {detail}")
 
 
 class NotAWitnessingWord(BandSmpError):

@@ -8,8 +8,8 @@ The closure BFS is array-backed. Tuples are rows of a small-int numpy
 array (one byte a coordinate for bands of order up to 256, two above), a
 whole level's products with the generators are formed at once, and they
 are deduplicated as fixed-width byte keys by sorting. A stored tuple costs
-about n bytes, plus int32 parent, generator and rank indices. The order in
-which tuples are found, and so every witness word, is that of the plain
+about n bytes, plus an int64 origin and an int32 rank. The order in which
+tuples are found, and so every witness word, is that of the plain
 one-tuple-at-a-time BFS.
 """
 
@@ -159,26 +159,26 @@ def _fold(table: np.ndarray, cols, word: Sequence[int]) -> np.ndarray:
 
 
 class _Closure:
-    """The tuples a closure BFS has found, numbered in insertion order.
+    """The tuples a closure BFS over k generators has found, numbered in
+    insertion order.
 
     Their rows are kept as fixed-width byte keys in a few sorted runs, each
     key with its insertion number; a run is merged into the one before it
     once it reaches half that one's size, so every key is copied O(log N)
-    times. Tuple j was found as the product of tuple parent[j] and generator
-    gen[j]; a generator has parent -1 and its own index as gen. hit is the
-    number of the target once it is found.
+    times. Tuple j was found as the product of tuple p and generator g, and
+    its origin is p·k + g; a generator has p = -1. hit is the number of the
+    target once it is found.
     """
 
-    def __init__(self, width: int, dtype: np.dtype):
+    def __init__(self, width: int, dtype: np.dtype, k: int):
         self.key_dtype = np.dtype(f"S{width * dtype.itemsize}")
         self.runs: list[tuple[np.ndarray, np.ndarray]] = []
         self.size = 0
         self.hit: Optional[int] = None
-        self._dtype, self._width = dtype, width
-        self._parent: list[np.ndarray] = []
-        self._gen: list[np.ndarray] = []
+        self._dtype, self._width, self._k = dtype, width, k
+        self._origin: list[np.ndarray] = []
 
-    def add(self, rows: np.ndarray, where: np.ndarray, start: int, k: int,
+    def add(self, rows: np.ndarray, where: np.ndarray, start: int,
             target: Optional[np.bytes_], cap: int) -> np.ndarray:
         """Store the rows not seen before, first occurrences in row order.
 
@@ -186,12 +186,7 @@ class _Closure:
         where[r] % k. Returns the new rows; raises CapExceeded as soon as
         more than cap tuples would be stored before the target.
         """
-        keys = rows.view(self.key_dtype).ravel()
-        perm = keys.argsort(kind="stable")
-        keys = keys[perm]
-        head = np.ones(len(keys), bool)  # first of a run of equal keys
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        new, first = keys[head], perm[head]
+        new, first = np.unique(rows.view(self.key_dtype).ravel(), return_index=True)
         for run, _ in self.runs:
             fresh = np.flatnonzero(run.take(run.searchsorted(new), mode="clip") != new)
             new, first = new[fresh], first[fresh]
@@ -222,8 +217,7 @@ class _Closure:
             self.runs.append((keys, ranks))
         self.size += len(new)
         picked = first[order]
-        self._parent.append((start + where[picked] // k).astype(np.int32))
-        self._gen.append((where[picked] % k).astype(np.int32))
+        self._origin.append(start * self._k + where[picked].astype(np.int64))
         return rows[picked]
 
     def rows(self, n: int) -> np.ndarray:
@@ -235,14 +229,11 @@ class _Closure:
 
     def word(self) -> list[int]:
         """The 1-based generator word that the BFS built the target from."""
-        parent, gen = np.concatenate(self._parent), np.concatenate(self._gen)
-        j = self.hit
-        word = [int(gen[j]) + 1]
-        while parent[j] >= 0:
-            j = int(parent[j])
-            word.append(int(gen[j]) + 1)
-        word.reverse()
-        return word
+        origin, word, j = np.concatenate(self._origin), [], self.hit
+        while j >= 0:
+            j, g = divmod(int(origin[j]), self._k)
+            word.append(g + 1)
+        return word[::-1]
 
 
 def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
@@ -254,8 +245,8 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     the order of the one-tuple-at-a-time BFS, so every tuple gets the same
     parent, and every word is BFS-shortest and the same from run to run.
     """
-    table, n = gens.band.array, gens.n
-    m, k = gens.band.order, len(gens)
+    m, n, k = gens.band.order, gens.n, len(gens)
+    table = gens.band.itable.astype(np.min_scalar_type(m - 1))
     target = None
     if stop_at is not None:
         with suppress(OutOfRange):  # a target outside S^n is never found
@@ -265,12 +256,12 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
         gens = np.zeros((k, 1), table.dtype)
         target = None if target is None else np.zeros(1, table.dtype)
     width = gens.shape[1]
-    found = _Closure(width, table.dtype)
+    found = _Closure(width, table.dtype, k)
     if target is not None:
         target = target.view(found.key_dtype)[0]
     # the generators: products of an empty tuple numbered -1; they never
     # count against the cap
-    level = found.add(gens, np.arange(k), -1, k, target, max(cap, k))
+    level = found.add(gens, np.arange(k), -1, target, max(cap, k))
     flat = table.ravel()
     kd = found.key_dtype
     gen_keys = gens.view(kd)[:, 0]
@@ -292,7 +283,7 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
             where = np.flatnonzero((keys != block.view(kd)) & (keys != gen_keys))
             rows = products.reshape(-1, width)[where]
             del products, keys
-            following.append(found.add(rows, where, start + c, k, target, cap))
+            following.append(found.add(rows, where, start + c, target, cap))
             if found.hit is not None:
                 break
         start += len(level)
@@ -336,6 +327,9 @@ def parse_instance(text: str, band: Band) -> SmpInstance:
             raise ParseError("instance header must be 'n k'")
         else:
             (n, k), rows = obj[0], obj[1:]
+            if n == 0 and not rows and k <= 1:
+                # each tuple is (), a blank line that read_text drops; k >= 2 would repeat it
+                rows = [[]] * (k + 1)
             if k < 0 or len(rows) != k + 1:
                 raise ParseError(
                     f"instance declares {k} generators but file has {max(len(rows) - 1, 0)}")

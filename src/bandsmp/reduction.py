@@ -53,8 +53,7 @@ class SatInstance:
 
 def parse_dimacs(text: str) -> SatInstance:
     """Parse DIMACS CNF; tautological clauses are kept, empty clauses marked."""
-    num_vars = None
-    declared_clauses = None
+    problem = None  # the problem line's number
     clauses: list[frozenset[int]] = []
     current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,8 +68,11 @@ def parse_dimacs(text: str) -> SatInstance:
                 num_vars, declared_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsSyntaxError(lineno, "non-integer counts") from None
+            if num_vars < 0 or declared_clauses < 0:
+                raise DimacsSyntaxError(lineno, f"negative count in {line!r}")
+            problem = lineno
             continue
-        if num_vars is None:
+        if problem is None:
             raise DimacsSyntaxError(lineno, "clause before the problem line")
         for tok in line.split():
             try:
@@ -84,14 +86,14 @@ def parse_dimacs(text: str) -> SatInstance:
                 if abs(lit) > num_vars:
                     raise DimacsSyntaxError(lineno, f"literal {lit} out of range")
                 current.append(lit)
-    if num_vars is None:
-        raise DimacsSyntaxError(0, "missing problem line")
+    if problem is None:
+        raise DimacsSyntaxError(None, "missing problem line")
     if current:
         # final clause without the terminating 0 is accepted
         clauses.append(frozenset(current))
-    if declared_clauses is not None and declared_clauses != len(clauses):
+    if declared_clauses != len(clauses):
         raise DimacsSyntaxError(
-            0, f"problem line declares {declared_clauses} clauses, found {len(clauses)}"
+            problem, f"problem line declares {declared_clauses} clauses, found {len(clauses)}"
         )
     return SatInstance(num_vars=num_vars, clauses=tuple(clauses))
 
@@ -163,19 +165,12 @@ def sat_to_smp(
     k = reduced.num_vars
     arity = n + 2 * k
 
-    if arity == 0:
-        # vacuously satisfiable formula: the empty tuple generates itself
-        instance = SmpInstance(GenSet(band=band, n=0, members=((),)), ())
-        return ReductionOutput(
-            instance=instance, roles=("u",), variable_map=variable_map,
-            sat=reduced, band=band, witness=witness,
-        )
-
     b = tuple([de] * arity)
     u = tuple([d] * arity)
     v = tuple([xe] * n + [y] * (2 * k))
-    gens: list[tuple[int, ...]] = [u, v]
-    roles: list[str] = ["u", "v"]
+    # the empty formula has u = v = (), and u alone generates the target ()
+    gens: list[tuple[int, ...]] = [u, v] if arity else [u]
+    roles: list[str] = ["u", "v"][:len(gens)]
     for z in (0, 1):
         for j in range(1, k + 1):
             coords = [

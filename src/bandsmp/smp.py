@@ -18,7 +18,7 @@ generator order, so the steps are those of the coordinate-by-coordinate rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,16 +54,18 @@ class LoopStats:
 
 @dataclass(frozen=True)
 class CpInfixInstance:
-    """Input of the infix problem: c J d, d <=_J e, and e <=_J a for a in A."""
+    """Input of the infix problem (c J d, d <=_J e, e <=_J a for a in A) and c, d, e's rows."""
 
     c: ElementTuple
     d: ElementTuple
     e: ElementTuple
     gens: GenSet
+    rows: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         leq_j = self.gens.band.green.leq_j
-        c, d, e = map(self.gens.row, (self.c, self.d, self.e))
+        c, d, e = rows = tuple(map(self.gens.row, (self.c, self.d, self.e)))
+        object.__setattr__(self, "rows", rows)
         if not (leq_cw(leq_j, c, d) and leq_cw(leq_j, d, c)):
             raise PreconditionViolated("c J d componentwise")
         if not leq_cw(leq_j, d, e):
@@ -125,7 +127,7 @@ def cp_infix(
     sound unconditionally.
     """
     _require_scans(inst.band, force, both=False)
-    c, d, e = map(inst.gens.row, (inst.c, inst.d, inst.e))
+    c, d, e = inst.rows
     A = inst.gens.rows
     return _tuple(_cp_infix_core(inst.band, A, np.ones(len(A), bool), c, d, e, stats,
                                  _Misses(A)))

@@ -80,6 +80,13 @@ class TestClassify:
         assert forbidden("--band", str(path)) == [
             {"case": "T9", "orientation": "dual", "image": list(range(1, 10))}]
 
+    def test_lambda_dual_witness_line(self, capsys, tmp_path, s9):
+        # dual(S9) passes the plain scan and fails only the reversed one
+        path = tmp_path / "dual.band"
+        path.write_text(s9.dual().to_text())
+        assert run(capsys, "classify", "--band", str(path)) == (
+            0, "NP-COMPLETE\nlambda-dual witness: d=6 e=3 x=2 y=5 h=1\n", "")
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "classify", "--catalog", "S9")
         _, second, _ = run(capsys, "classify", "--catalog", "S9")
@@ -115,6 +122,14 @@ class TestValidateAndGreen:
             "height: 4",
             "J-classes: {1} {2} {3,4,5} {6,7,8,9}",
         ]
+
+    def test_validate_json(self, capsys, tmp_path, s10):
+        assert run(capsys, "validate", "--catalog", "S9", "--json") == (
+            0, '{"valid": true, "order": 9, "name": "S9"}\n', "")
+        path = tmp_path / "s10.band"
+        path.write_text(s10.to_text())
+        assert run(capsys, "validate", "--band", str(path), "--json") == (
+            0, json.dumps({"valid": True, "order": 10, "name": str(path)}) + "\n", "")
 
     def test_green_json(self, capsys):
         _, out, _ = run(capsys, "green", "--catalog", "SL-chain(2)", "--json")
@@ -231,6 +246,19 @@ class TestSmp:
         assert code == 1
         lines = out.splitlines()
         assert lines[0].endswith("member") and lines[1].endswith("non-member")
+
+    def test_batch_json(self, capsys, tmp_path):
+        member, non_member = tmp_path / "a.smp", tmp_path / "b.smp"
+        member.write_text("1 2\n2\n3\n4\n")
+        non_member.write_text("1 1\n3\n4\n")
+        argv = ["smp", "--catalog", "S10", "--instance", str(member), str(non_member), "--json"]
+        assert run(capsys, *argv) == (1, json.dumps({"results": [
+            {"instance": str(member), "verdict": "member", "error": None},
+            {"instance": str(non_member), "verdict": "non-member", "error": None},
+        ]}) + "\n", "")
+
+    def test_no_generators_of_arity_zero(self, capsys):
+        assert run(capsys, "smp", "--catalog", "T9", "--inline", "0 0") == (1, "non-member\n", "")
 
     def test_batch_parallel_matches_serial(self, capsys, tmp_path):
         files = []
@@ -394,7 +422,17 @@ class TestMalformedInput:
          "NotAssociative: {f}: not associative at (2,3,2): (2*3)*2 != 2*(3*2)"),
         (["smp", "--catalog", "S10", "--instance", "{f}"], "1 1\n11\n1\n",
          "OutOfRange: {f}: coordinate 11 outside 1..10"),
-    ], ids=["cnf", "band entry", "band axiom", "instance coordinate"])
+        (["validate", "--band", "{f}"], "0\n",
+         "OutOfRange: {f}: a band must have at least one element"),
+        (["reduce", "--catalog", "S9", "--cnf", "{f}", "-o", "{f}.out"], "c x\np cnf -3 0\n",
+         "DimacsSyntaxError: {f}: DIMACS syntax error on line 2: negative count in 'p cnf -3 0'"),
+        (["reduce", "--catalog", "S9", "--cnf", "{f}", "-o", "{f}.out"], "p cnf 1 3\n1 0\n",
+         "DimacsSyntaxError: {f}: DIMACS syntax error on line 1: "
+         "problem line declares 3 clauses, found 1"),
+        (["reduce", "--catalog", "S9", "--cnf", "{f}", "-o", "{f}.out"], "c no problem line\n",
+         "DimacsSyntaxError: {f}: DIMACS syntax error: missing problem line"),
+    ], ids=["cnf", "band entry", "band axiom", "instance coordinate", "band of order 0",
+            "cnf negative count", "cnf clause count", "cnf without problem line"])
     def test_every_input_error_names_its_file(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -543,6 +581,16 @@ class TestReduce:
         assert not member_closure(inst.gens, inst.target)
         assert not naive_sat(1, (frozenset({1}), frozenset({-1})))
 
+    def test_empty_formula_round_trip(self, capsys, tmp_path):
+        # p cnf 0 0 is satisfiable; its instance has arity 0, and () is a blank line
+        cnf, path = tmp_path / "e.cnf", tmp_path / "e.smp"
+        cnf.write_text("p cnf 0 0\n")
+        assert run(capsys, "reduce", "--cnf", str(cnf), "--catalog", "T9", "-o", str(path)) == (
+            0, f"wrote {path}: arity 0, 1 generators (S orientation)\n", "")
+        assert path.read_text() == "0 1\n\n\n"
+        assert run(capsys, "smp", "--catalog", "T9", "--instance", str(path)) == (
+            0, "member\n", "")
+
     def test_reduce_tractable_band_errors(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 1 1\n1 0\n")
@@ -578,6 +626,12 @@ class TestCatalogCommand:
         _, out, _ = run(capsys, "catalog")
         names = out.splitlines()
         assert "S9" in names and "T17" in names and "Rect(3,4)" in names
+
+    def test_export_json(self, capsys, s10):
+        table = [[v + 1 for v in row] for row in s10.table]
+        assert table[6] == [7, 7, 9, 9, 10, 6, 7, 8, 9, 10]
+        assert run(capsys, "catalog", "S10", "--json") == (
+            0, json.dumps({"name": "S10", "order": 10, "table": table}) + "\n", "")
 
     def test_export_to_file(self, capsys, tmp_path, s10):
         path = tmp_path / "s10.txt"

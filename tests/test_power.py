@@ -263,6 +263,19 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance("1 2\n1\n2\n", s10)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_arity_zero_text_round_trip(self, s10, k):
+        # every tuple of arity 0 is a blank line, so the text is the header alone
+        inst = SmpInstance(GenSet(band=s10, n=0, members=((),) * k), ())
+        text = format_instance(inst)
+        assert text == f"0 {k}\n" + "\n" * (k + 1)
+        again = parse_instance(text, s10)
+        assert (again.gens.n, again.gens.members, again.target) == (0, ((),) * k, ())
+
+    def test_arity_zero_repeated_generator(self, s10):
+        with pytest.raises(ParseError, match="^instance declares 2 generators but file has 0$"):
+            parse_instance("0 2\n", s10)
+
 
 # -- the array BFS against a one-tuple-at-a-time BFS ---------------------------
 

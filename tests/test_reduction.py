@@ -66,10 +66,26 @@ class TestParseDimacs:
     def test_missing_problem_line(self):
         with pytest.raises(DimacsSyntaxError):
             parse_dimacs("1 0\n")
+        with pytest.raises(DimacsSyntaxError) as exc:
+            parse_dimacs("c only a comment\n")
+        assert exc.value.line is None
+        assert str(exc.value) == "DIMACS syntax error: missing problem line"
 
     def test_clause_count_mismatch(self):
         with pytest.raises(DimacsSyntaxError):
             parse_dimacs("p cnf 1 2\n1 0\n")
+        with pytest.raises(DimacsSyntaxError) as exc:  # the problem line is line 2
+            parse_dimacs("c x\np cnf 1 3\n1 0\n")
+        assert str(exc.value) == (
+            "DIMACS syntax error on line 2: problem line declares 3 clauses, found 1")
+
+    @pytest.mark.parametrize("text, line", [
+        ("p cnf -3 0\n", 1), ("c x\np cnf 2 -1\n", 2), ("\np cnf -1 -1\n1 0\n", 2),
+    ], ids=["variables", "clauses", "both"])
+    def test_negative_count(self, text, line):
+        with pytest.raises(DimacsSyntaxError, match="negative count") as exc:
+            parse_dimacs(text)
+        assert exc.value.line == line
 
     def test_built_formula_names_the_clause(self):
         # a SatInstance built in code has no DIMACS lines to name
