@@ -51,10 +51,6 @@ def _witness_json(w: Optional[quasi.Witness]):
     return {"d": d, "e": e, "x": x, "y": y, "h": h}
 
 
-def _tuple_str(t) -> str:
-    return "(" + ",".join(str(v + 1) for v in t) + ")"
-
-
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
@@ -117,56 +113,61 @@ def _default_cap(args) -> int:
     return power.DEFAULT_CAP
 
 
-def _decide_one(inst, algo, force, cap):
-    """Decide one instance; returns (verdict, stats_lines, json_obj)."""
+def _decide_one(inst, algo, force, cap) -> dict:
+    """Decide one instance; returns the record that --json prints and
+    --stats renders."""
     band = inst.band
     stats = smp.LoopStats()
     method = algo
     word = None
     if algo == "poly":
         member = smp.smp_decide_poly(inst, force=force, stats=stats)
-        if not member and force and not quasi.classify(band).tractable:
-            verdict = "unknown"  # completeness needs the quasiidentity scans
-        else:
-            verdict = "member" if member else "non-member"
     elif algo == "closure":
         word = power.member_closure_word(inst.gens, inst.target, cap=cap)
-        verdict = "member" if word is not None else "non-member"
+        member = word is not None
     else:
         result = smp.smp_decide_auto(inst, cap=cap, stats=stats)
-        method = result.method
-        word = result.word
-        verdict = "member" if result.member else "non-member"
+        method, word, member = result.method, result.word, result.member
+    verdict = "member" if member else "non-member"
+    if not member and force and not quasi.classify(band).tractable:
+        verdict = "unknown"  # completeness needs the quasiidentity scans
 
-    lines = [f"method: {method}"]
-    obj = {"verdict": verdict, "method": method}
+    record = {"verdict": verdict, "method": method}
     if method == "poly":
-        bound = inst.gens.n * (band.green.height - 1)
-        lines.append(f"loop bound n(h-1): {bound}")
-        lines.append(f"infix inner-body max: {stats.infix_pass_max}")
-        lines.append(f"suffix while max: {stats.suffix_call_max}")
-        obj["stats"] = {
-            "bound": bound,
+        record["stats"] = {
+            "bound": inst.gens.n * (band.green.height - 1),
             "infix_inner_max": stats.infix_pass_max,
             "suffix_while_max": stats.suffix_call_max,
         }
         if stats.witness_pair is not None:
             x, y = stats.witness_pair
-            verified = power.mul_tuple(band, y, x) == inst.target
-            lines.append(f"witness pair: x={_tuple_str(x)} y={_tuple_str(y)}")
-            lines.append(f"verified: {'true' if verified else 'false'}")
-            obj["witness_pair"] = {
+            record["witness_pair"] = {
                 "x": [v + 1 for v in x],
                 "y": [v + 1 for v in y],
-                "verified": verified,
+                "verified": power.mul_tuple(band, y, x) == inst.target,
             }
     elif word is not None:
-        verified = smp.verify_word(inst.gens, word, inst.target)
-        lines.append(f"witness word: {' '.join(map(str, word))}")
-        lines.append(f"verified: {'true' if verified else 'false'}")
-        obj["witness_word"] = word
-        obj["verified"] = verified
-    return verdict, lines, obj
+        record["witness_word"] = word
+        record["verified"] = smp.verify_word(inst.gens, word, inst.target)
+    return record
+
+
+def _stats_lines(record: dict) -> list[str]:
+    """The --stats text of a decision record."""
+    lines = [f"method: {record['method']}"]
+    if "stats" in record:
+        stats = record["stats"]
+        lines += [f"loop bound n(h-1): {stats['bound']}",
+                  f"infix inner-body max: {stats['infix_inner_max']}",
+                  f"suffix while max: {stats['suffix_while_max']}"]
+    if "witness_pair" in record:
+        pair = record["witness_pair"]
+        x, y = (",".join(map(str, pair[key])) for key in "xy")
+        lines += [f"witness pair: x=({x}) y=({y})", f"verified: {json.dumps(pair['verified'])}"]
+    if "witness_word" in record:
+        lines += [f"witness word: {' '.join(map(str, record['witness_word']))}",
+                  f"verified: {json.dumps(record['verified'])}"]
+    return lines
 
 
 def _verdict_code(verdict: str) -> int:
@@ -183,7 +184,7 @@ def _set_worker_band(band: band_mod.Band) -> None:
 
 
 def _decide_entry(source, algo, force, cap, band=None):
-    """(name, verdict, stats_lines, json_obj, error) for a (name, text)
+    """(name, record, error) for a (name, text)
     source over band, by default the worker's; a text of None is read from
     the file name, so an unreadable file gets its own error, and a
     ParseError names the file."""
@@ -191,9 +192,9 @@ def _decide_entry(source, algo, force, cap, band=None):
     parse = partial(power.parse_instance, band=band or _worker_band)
     try:
         inst = parse_file(name, parse) if text is None else parse(text)
-        return (name, *_decide_one(inst, algo, force, cap), None)
+        return name, _decide_one(inst, algo, force, cap), None
     except (BandSmpError, OSError) as exc:
-        return name, "error", [], None, f"{type(exc).__name__}: {exc}"
+        return name, {"verdict": "error"}, f"{type(exc).__name__}: {exc}"
 
 
 def _cmd_smp(args) -> int:
@@ -217,25 +218,25 @@ def _cmd_smp(args) -> int:
         results = [decide(source, band=band) for source in sources]
 
     if len(results) == 1:  # one instance: its verdict, stats or JSON object
-        _, verdict, lines, obj, err = results[0]
+        _, record, err = results[0]
         if err:
             print(f"error: {err}", file=sys.stderr)
         elif args.json:
-            print(json.dumps(obj))
+            print(json.dumps(record))
         else:
-            print(verdict, *(lines if args.stats else []), sep="\n")
+            print(record["verdict"], *(_stats_lines(record) if args.stats else []), sep="\n")
     elif args.json:  # a batch: one verdict line per instance, order preserved
         print(json.dumps({
             "results": [
-                {"instance": name, "verdict": verdict, "error": err}
-                for name, verdict, _, _, err in results
+                {"instance": name, "verdict": record["verdict"], "error": err}
+                for name, record, err in results
             ]
         }))
     else:
-        for name, verdict, _, _, err in results:
+        for name, record, err in results:
             suffix = f" ({err})" if err else ""
-            print(f"{name}\t{verdict}{suffix}")
-    return max(_verdict_code(v) for _, v, *_ in results)
+            print(f"{name}\t{record['verdict']}{suffix}")
+    return max(_verdict_code(record["verdict"]) for _, record, _ in results)
 
 
 def _cmd_words(args) -> int:
@@ -367,7 +368,7 @@ def build_parser() -> _Parser:
                    help="inline instance, ';' separates lines")
     p.add_argument("--algo", choices=("auto", "poly", "closure"), default="auto")
     p.add_argument("--force", action="store_true",
-                   help="run the polynomial algorithm even if the scans fail; "
+                   help="with --algo poly: run it even if the scans fail; "
                         "'no' answers are then reported as unknown")
     p.add_argument("--cap", type=int, default=None,
                    help="closure cap (default 5e6; env BANDSMP_CAP overrides)")
@@ -420,6 +421,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "force", False) and args.algo != "poly":
+        parser.error("--force requires --algo poly")
     try:
         return args.func(args)
     except (BandSmpError, OSError) as exc:

@@ -58,9 +58,13 @@ def parse_dimacs(text: str) -> SatInstance:
     current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):  # SATLIB files end with '%' and a stray '0'
+            break
         if line.startswith("p"):
+            if problem is not None:
+                raise DimacsSyntaxError(lineno, "second problem line")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsSyntaxError(lineno, f"bad problem line {line!r}")
@@ -138,7 +142,8 @@ def sat_to_smp(
 
     Defaults to the synthesized 9-element forbidden band with its
     canonical quintuple. Variables occurring in no clause are dropped
-    first and recorded in variable_map.
+    first and recorded in variable_map. The generators run u, v, a_1^0 ...
+    a_k^0, a_1^1 ... a_k^1 (no v at arity 0): a_j^z is 3 + (j - 1) + z·k.
     """
     if band is None:
         band = construct_forbidden_band("T9")
@@ -195,21 +200,13 @@ def sat_to_smp(
     )
 
 
-def _role_index(out: ReductionOutput, role: str) -> int:
-    return out.roles.index(role) + 1  # 1-based generator index
-
-
 def assignment_to_word(out: ReductionOutput, z: Sequence[bool]) -> list[int]:
     """The word u a_1^{z_1} ... a_k^{z_k} v as 1-based generator indices."""
     k = out.num_vars
     if len(z) != k:
         raise NotAWitnessingWord(f"assignment length {len(z)} != {k} variables")
-    word = [_role_index(out, "u")]
-    for j in range(1, k + 1):
-        word.append(_role_index(out, f"a{j}^{1 if z[j - 1] else 0}"))
-    if "v" in out.roles:
-        word.append(_role_index(out, "v"))
-    return word
+    word = [1] + [3 + j + (k if zj else 0) for j, zj in enumerate(z)]
+    return word + [2] if out.instance.gens.n else word
 
 
 def word_to_assignment(out: ReductionOutput, word: Sequence[int]) -> list[bool]:
@@ -220,16 +217,10 @@ def word_to_assignment(out: ReductionOutput, word: Sequence[int]) -> list[bool]:
     """
     if not verify_word(out.instance.gens, word, out.instance.target):
         raise NotAWitnessingWord("word does not evaluate to the target tuple")
-    assignment: dict[int, bool] = {}
-    for idx in word:
-        role = out.roles[idx - 1]
-        if role in ("u", "v"):
-            continue
-        var_part, z_part = role[1:].split("^")
-        j, z = int(var_part), z_part == "1"
-        if j not in assignment:
-            assignment[j] = z
-    result = [assignment.get(j, False) for j in range(1, out.num_vars + 1)]
+    k = out.num_vars
+    # generator 3 + (j - 1) + z·k is a_j^z; read in reverse, the first occurrence wins
+    first = {(i - 3) % k: i - 3 >= k for i in reversed(word) if i > 2}
+    result = [first.get(j, False) for j in range(k)]
     if not out.sat.evaluate(result):
         raise NotAWitnessingWord(
             "extracted assignment does not satisfy the formula"

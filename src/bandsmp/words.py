@@ -160,8 +160,8 @@ class Identity:
     rhs: Word
 
     def __post_init__(self):
-        if not self.lhs and not self.rhs:
-            raise EmptyWord("an identity needs at least one nonempty side")
+        if not self.lhs or not self.rhs:
+            raise EmptyWord("an identity needs two nonempty sides")
 
     def dual(self) -> "Identity":
         return Identity(dual_word(self.lhs), dual_word(self.rhs))
@@ -193,8 +193,6 @@ def satisfies_identity(
     counterexample is the lexicographically least one. Both sides are
     evaluated over a block of assignments at a time, one array a variable.
     """
-    if not identity.lhs or not identity.rhs:
-        raise EmptyWord("identity satisfaction needs both sides nonempty")
     variables = sorted(content(identity.lhs) | content(identity.rhs))
     m, budget, v = band.order, DEFAULT_IDENTITY_BUDGET, len(variables)
     if m ** v > budget:

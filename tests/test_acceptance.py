@@ -2,12 +2,14 @@
 
 Each test prints a single PASS line (visible under pytest -s or -v with
 -rP); loop counters recorded by the oracle-equivalence sweep feed the
-bound check that follows it.
+bound check of criterion 6, which reads the same run of the sweep.
 """
 
 import itertools
 import random
 import time
+
+import pytest
 
 from bandsmp import (
     FORBIDDEN_CASES,
@@ -38,23 +40,6 @@ from bandsmp.smp import LoopStats
 
 from helpers import random_word
 from oracles import naive_sat
-
-#: loop-counter evidence collected by the oracle-equivalence sweep:
-#: total runs, worst counter seen, and any runs breaking the n*(h-1) bound
-LOOP_EVIDENCE = {"runs": 0, "worst": 0, "violations": []}
-
-
-def _record_loops(name, n, h, stats):
-    bound = n * (h - 1)
-    LOOP_EVIDENCE["runs"] += 1
-    LOOP_EVIDENCE["worst"] = max(
-        LOOP_EVIDENCE["worst"], stats.infix_pass_max, stats.suffix_call_max
-    )
-    if stats.infix_pass_max > bound or stats.suffix_call_max > bound:
-        LOOP_EVIDENCE["violations"].append(
-            (name, n, h, stats.infix_pass_max, stats.suffix_call_max)
-        )
-
 
 def report(num: int, text: str, elapsed: float, budget: float) -> None:
     print(f"PASS criterion {num}: {text} [{elapsed:.2f}s < {budget:.0f}s]")
@@ -151,9 +136,26 @@ def test_random_instance_stops_at_the_number_of_tuples():
         assert 1 <= len(inst.gens) <= 2
 
 
-def test_criterion_5_oracle_equivalence():
+@pytest.fixture(scope="module")
+def oracle_sweep():
+    """Criterion 5's decisions, run once for criteria 5 and 6: the instances
+    that disagree with the closure oracle, and the loop counters of every
+    run, with total runs, the worst counter seen and any runs breaking the
+    n*(h-1) bound."""
     start = time.monotonic()
-    total = 0
+    sweep = {"runs": 0, "mismatches": [], "worst": 0, "violations": []}
+
+    def record(name, inst, h, got, expected, stats):
+        n = inst.gens.n
+        bound = n * (h - 1)
+        sweep["runs"] += 1
+        if got != expected:
+            sweep["mismatches"].append((name, inst.gens.members, inst.target, got))
+        sweep["worst"] = max(sweep["worst"], stats.infix_pass_max, stats.suffix_call_max)
+        if stats.infix_pass_max > bound or stats.suffix_call_max > bound:
+            sweep["violations"].append(
+                (name, n, h, stats.infix_pass_max, stats.suffix_call_max)
+            )
 
     # (a) exhaustive: every generator set of size <= 2 drawn from the
     # 10-element table's powers with n <= 2, against every target
@@ -166,11 +168,9 @@ def test_criterion_5_oracle_equivalence():
                 gens = GenSet(band=s10, n=n, members=combo)
                 members = set(closure(gens))
                 for target in universe:
-                    stats = LoopStats()
-                    got = smp_decide_poly(SmpInstance(gens, target), stats=stats)
-                    assert got == (target in members)
-                    total += 1
-                    _record_loops("S10", n, h10, stats)
+                    inst, stats = SmpInstance(gens, target), LoopStats()
+                    got = smp_decide_poly(inst, stats=stats)
+                    record("S10", inst, h10, got, target in members, stats)
 
     # (b) seeded random instances over four tractable bands
     rng = random.Random(20260810)
@@ -181,21 +181,25 @@ def test_criterion_5_oracle_equivalence():
             inst = _random_instance(band, rng, max_n=4, max_k=4)
             stats = LoopStats()
             got = smp_decide_poly(inst, stats=stats)
-            assert got == member_closure(inst.gens, inst.target)
-            total += 1
-            _record_loops(name, inst.gens.n, h, stats)
+            record(name, inst, h, got, member_closure(inst.gens, inst.target), stats)
+    sweep["elapsed"] = time.monotonic() - start
+    return sweep
+
+
+def test_criterion_5_oracle_equivalence(oracle_sweep):
+    assert oracle_sweep["mismatches"] == []
     report(5, f"polynomial decision agrees with the closure oracle on all "
-              f"{total} instances (exhaustive + 4x1000 random)",
-           time.monotonic() - start, 120.0)
+              f"{oracle_sweep['runs']} instances (exhaustive + 4x1000 random)",
+           oracle_sweep["elapsed"], 120.0)
 
 
-def test_criterion_6_loop_bounds():
+def test_criterion_6_loop_bounds(oracle_sweep):
     start = time.monotonic()
-    assert LOOP_EVIDENCE["runs"] > 0, "criterion 5 must run first in this module"
-    assert LOOP_EVIDENCE["violations"] == []
+    assert oracle_sweep["runs"] > 0
+    assert oracle_sweep["violations"] == []
     report(6, f"inner-body and while counts within n*(h-1) on all "
-              f"{LOOP_EVIDENCE['runs']} recorded runs (worst count seen: "
-              f"{LOOP_EVIDENCE['worst']})", time.monotonic() - start, 120.0)
+              f"{oracle_sweep['runs']} recorded runs (worst count seen: "
+              f"{oracle_sweep['worst']})", time.monotonic() - start, 120.0)
 
 
 def test_criterion_7_sat_reduction_equivalence():

@@ -366,10 +366,14 @@ class TestMalformedInput:
         (["identity", "--catalog", "S10", "--lhs", "1 y", "--rhs", "1"], "ParseError"),
         (["identity", "--catalog", "LZ(2)", "--lhs", str(2**63), "--rhs", "1"],
          "ArityTooLarge"),
+        (["identity", "--catalog", "S10", "--lhs", "", "--rhs", "1"],
+         "EmptyWord: an identity needs two nonempty sides"),
         (["pbound", "--n", "20000", "--k", "2"], "UnsupportedIndex"),
+        (["pbound", "--n", "1", "--k", "2"], "UnsupportedIndex: p_n is defined for n >= 2"),
     ], ids=["content", "cut", "sigma", "dual zero", "hn", "eval word", "eval assign",
             "eval x0", "eval value above m", "eval value 0", "identity",
-            "identity huge variable", "pbound too long to print"])
+            "identity huge variable", "identity empty side", "pbound too long to print",
+            "pbound n below 2"])
     def test_word_arguments(self, capsys, argv, kind):
         code, out, err = run(capsys, "words", *argv)
         assert out == ""
@@ -660,6 +664,17 @@ class TestUsage:
         code, _, err = run(capsys, "classify", "--band", "x", "--catalog", "S9")
         assert code == 2
         assert "exactly one" in err
+
+    @pytest.mark.parametrize("algo", [[], ["--algo", "auto"], ["--algo", "closure"]],
+                             ids=["default", "auto", "closure"])
+    def test_force_needs_algo_poly(self, capsys, algo):
+        # only the polynomial path can be forced; elsewhere the flag did nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["smp", "--catalog", "S9", "--inline", "1 2; 2; 3; 4", "--force", *algo])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("bandsmp: error: --force requires --algo poly\n")
 
     def test_missing_instance(self, capsys):
         code, _, err = run(capsys, "smp", "--catalog", "S10")

@@ -91,6 +91,12 @@ class TestGenSet:
         with pytest.raises(OutOfRange):
             GenSet.of(s9, [(9,)])
 
+    def test_bad_arity_refused(self, s9):
+        with pytest.raises(ArityMismatch, match="arity -1 outside"):
+            GenSet(s9, -1, ())
+        with pytest.raises(ArityMismatch, match="cannot infer arity from an empty generator set"):
+            GenSet.of(s9, [])
+
     def test_target_arity_checked(self, s9):
         with pytest.raises(ArityMismatch):
             SmpInstance(GenSet.of(s9, [(0, 0)]), (0,))

@@ -87,6 +87,18 @@ class TestParseDimacs:
             parse_dimacs(text)
         assert exc.value.line == line
 
+    def test_second_problem_line(self):
+        # the clause read after it was checked against the second line's count
+        with pytest.raises(DimacsSyntaxError, match="second problem line") as exc:
+            parse_dimacs("p cnf 3 0\np cnf 1 1\n1 0\n")
+        assert exc.value.line == 2
+
+    def test_percent_ends_the_formula(self):
+        # SATLIB files end with '%' and a '0' that is no empty clause
+        sat = parse_dimacs("c SATLIB\np cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n\n")
+        assert clause_set(sat) == [{1, -2, 3}, {-1, 2}]
+        assert not has_empty_clause(sat)
+
     def test_built_formula_names_the_clause(self):
         # a SatInstance built in code has no DIMACS lines to name
         with pytest.raises(OutOfRange, match="^clause 1: literal 2 out of range$"):
@@ -292,6 +304,14 @@ class TestRoundTrips:
                     roles = {out.roles[i] for i in picks}
                     assert not ({"a1^0", "a1^1"} <= roles)
                     assert not ({"a2^0", "a2^1"} <= roles)
+
+    def test_roles_follow_the_generator_layout(self):
+        # a_j^z is generator 3 + (j - 1) + z*k, the rule the decoding reads
+        out = sat_to_smp(SatInstance(3, (frozenset({1, -2}), frozenset({3}))))
+        for j, z in itertools.product((1, 2, 3), (0, 1)):
+            assert out.roles[3 + (j - 1) + z * 3 - 1] == f"a{j}^{z}"
+        assert assignment_to_word(out, [True, False, True]) == [1, 6, 4, 8, 2]
+        assert word_to_assignment(out, [1, 6, 4, 8, 2]) == [True, False, True]
 
     def test_roles_file_format(self):
         out = sat_to_smp(SatInstance(1, (frozenset({1}),)))

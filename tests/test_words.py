@@ -280,6 +280,12 @@ class TestEval:
 
 
 class TestSatisfiesIdentity:
+    @pytest.mark.parametrize("lhs, rhs", [((), (1,)), ((1,), ()), ((), ())])
+    def test_empty_side_refused(self, lhs, rhs):
+        # one rule, at construction; satisfies_identity never sees an empty side
+        with pytest.raises(EmptyWord, match="^an identity needs two nonempty sides$"):
+            Identity(lhs, rhs)
+
     def test_regular_identity_holds_in_both_tables(self, s9, s10):
         ident = Identity(dual_word(ghi_word("G", 3)), dual_word(ghi_word("I", 3)))
         assert satisfies_identity(s9, ident) is True
