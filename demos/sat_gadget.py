@@ -11,6 +11,7 @@ from itertools import product
 from bandsmp import (
     SatInstance,
     assignment_to_word,
+    canonical_forbidden_witness,
     format_instance,
     member_closure,
     parse_dimacs,
@@ -26,8 +27,8 @@ def satisfiable(sat):
 
 
 def show(out):
-    print(f"arity {out.instance.gens.n} = {out.num_clauses} clause coordinate(s)"
-          f" + 2*{out.num_vars} control coordinates")
+    print(f"arity {out.instance.gens.n} = {len(out.sat.clauses)} clause coordinate(s)"
+          f" + 2*{out.sat.num_vars} control coordinates")
     for role, gen in zip(out.roles, out.instance.gens.members):
         print(f"  {role:>5} = {tuple(v + 1 for v in gen)}")
     print(f"  target = {tuple(v + 1 for v in out.instance.target)}")
@@ -37,8 +38,8 @@ def main():
     print("== A satisfiable formula: (x1 or ~x2) and (x2) ==")
     text = "p cnf 2 2\n1 -2 0\n2 0\n"
     sat = parse_dimacs(text)
-    out = sat_to_smp(sat)
-    print(f"gadget band: {out.band.name}, witness {out.witness}")
+    out = sat_to_smp(sat)  # the default gadget: T9 and its canonical witness
+    print(f"gadget band: {out.instance.band.name}, witness {canonical_forbidden_witness()}")
     show(out)
     member = member_closure(out.instance.gens, out.instance.target)
     print("target generated:", member, "| formula satisfiable:", satisfiable(sat))

@@ -302,10 +302,10 @@ def _cmd_reduce(args) -> int:
         "orientation": orientation,
         "arity": out.instance.gens.n,
         "generators": len(out.instance.gens),
-        "clauses": out.num_clauses,
-        "variables": out.num_vars,
+        "clauses": len(out.sat.clauses),
+        "variables": out.sat.num_vars,
         "variable_map": {str(k): v for k, v in sorted(out.variable_map.items())},
-        "witness": _witness_json(out.witness),
+        "witness": _witness_json(witness),
     }
     if args.json:
         print(json.dumps(info))

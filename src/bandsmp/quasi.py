@@ -137,7 +137,9 @@ def normalize_witness(band: Band, w: Witness) -> Witness:
     """Rebase a witness so that h is a two-sided identity on {d, e, x, y}.
 
     Applies the substitutions d -> e x h d h, e -> e x h, x -> x h,
-    y -> x y e x h, h -> h; the output is again a witness.
+    y -> x y e x h, h -> h; the output is again a witness. A normalized
+    witness is one this leaves as it is (require_normalized); the SAT
+    gadget and forbidden_subband take only those.
     """
     if not is_witness(band, w):
         raise NotAWitness(f"{w} does not witness failure of the quasiidentity")
@@ -153,6 +155,12 @@ def normalize_witness(band: Band, w: Witness) -> Witness:
     if not is_witness(band, out):
         raise AssertionError("normalization produced a non-witness; internal bug")
     return out
+
+
+def require_normalized(band: Band, w: Witness) -> None:
+    """NotAWitness unless w is a witness that normalize_witness leaves as it is."""
+    if normalize_witness(band, w) != w:  # a non-witness raises NotAWitness there
+        raise NotAWitness(f"{w} is not normalized")
 
 
 # -- synthesis of the four forbidden bands -------------------------------------
@@ -229,8 +237,7 @@ def forbidden_subband(band: Band, w: Witness) -> tuple[str, tuple[int, ...]]:
     value at w of the word of element i of construct_forbidden_band(case).
     The case is the one whose quotient of the rows d, xd, yd is the one
     their values at w make."""
-    if normalize_witness(band, w) != w:  # a non-witness raises NotAWitness there
-        raise NotAWitness(f"{w} is not normalized")
+    require_normalized(band, w)
     at = dict(zip("dexyh", w.as_tuple()))
 
     def value(word: str) -> int:

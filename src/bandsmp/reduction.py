@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 from .band import Band
 from .errors import DimacsSyntaxError, NotAWitness, NotAWitnessingWord, OutOfRange
 from .power import GenSet, SmpInstance
-from .quasi import Witness, canonical_forbidden_witness, construct_forbidden_band, is_witness
+from .quasi import (Witness, canonical_forbidden_witness, construct_forbidden_band,
+                    require_normalized)
 from .smp import verify_word
 
 
@@ -110,27 +111,6 @@ class ReductionOutput:
     roles: tuple[str, ...]
     variable_map: dict[int, int]  # original variable -> renumbered variable
     sat: SatInstance              # the reduced (renumbered) formula
-    band: Band
-    witness: Witness
-
-    @property
-    def num_clauses(self) -> int:
-        return len(self.sat.clauses)
-
-    @property
-    def num_vars(self) -> int:
-        return self.sat.num_vars
-
-
-def _check_normalized(band: Band, w: Witness) -> None:
-    if not is_witness(band, w):
-        raise NotAWitness(f"{w} is not a witness in this band")
-    t = band.table
-    for s in (w.d, w.e, w.x, w.y):
-        if t[w.h][s] != s or t[s][w.h] != s:
-            raise NotAWitness(
-                f"{w} is not normalized: h must be a two-sided identity on d,e,x,y"
-            )
 
 
 def sat_to_smp(
@@ -150,7 +130,7 @@ def sat_to_smp(
         witness = canonical_forbidden_witness()
     if witness is None:
         raise NotAWitness("a witness must be supplied along with the band")
-    _check_normalized(band, witness)
+    require_normalized(band, witness)
 
     used = sat.used_variables()
     variable_map = {orig: j + 1 for j, orig in enumerate(used)}
@@ -195,14 +175,12 @@ def sat_to_smp(
         roles=tuple(roles),
         variable_map=variable_map,
         sat=reduced,
-        band=band,
-        witness=witness,
     )
 
 
 def assignment_to_word(out: ReductionOutput, z: Sequence[bool]) -> list[int]:
     """The word u a_1^{z_1} ... a_k^{z_k} v as 1-based generator indices."""
-    k = out.num_vars
+    k = out.sat.num_vars
     if len(z) != k:
         raise NotAWitnessingWord(f"assignment length {len(z)} != {k} variables")
     word = [1] + [3 + j + (k if zj else 0) for j, zj in enumerate(z)]
@@ -217,7 +195,7 @@ def word_to_assignment(out: ReductionOutput, word: Sequence[int]) -> list[bool]:
     """
     if not verify_word(out.instance.gens, word, out.instance.target):
         raise NotAWitnessingWord("word does not evaluate to the target tuple")
-    k = out.num_vars
+    k = out.sat.num_vars
     # generator 3 + (j - 1) + z·k is a_j^z; read in reverse, the first occurrence wins
     first = {(i - 3) % k: i - 3 >= k for i in reversed(word) if i > 2}
     result = [first.get(j, False) for j in range(k)]

@@ -85,7 +85,7 @@ def _require_scans(band: Band, force: bool, both: bool) -> None:
     c = classify(band)
     if not (c.tractable if both else c.lambda_witness is None):
         raise NotTractable(f"band fails {'a' if both else 'the'} quasiidentity scan; "
-                           "pass force=True for a sound-only run")
+                           "pass force=True (CLI: --algo poly --force) for a sound-only run")
 
 
 def _tuple(row: Optional[np.ndarray]) -> Optional[ElementTuple]:

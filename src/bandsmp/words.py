@@ -162,6 +162,8 @@ class Identity:
     def __post_init__(self):
         if not self.lhs or not self.rhs:
             raise EmptyWord("an identity needs two nonempty sides")
+        if min(self.lhs + self.rhs) < 1:
+            raise OutOfRange("variable indices start at 1")
 
     def dual(self) -> "Identity":
         return Identity(dual_word(self.lhs), dual_word(self.rhs))
@@ -171,6 +173,8 @@ def eval_word(band: Band, w: Word, assignment: Sequence[int]) -> int:
     """The term function of w at the assignment (assignment[i] is x_{i+1})."""
     if not w:
         raise EmptyWord("cannot evaluate the empty word in a band")
+    if min(w) < 1:  # x0 would read the last value
+        raise OutOfRange("variable indices start at 1")
     try:
         values = [assignment[v - 1] for v in w]
     except IndexError:

@@ -2,6 +2,9 @@
 
 import concurrent.futures
 import json
+import pathlib
+import re
+import shlex
 import time
 
 import pytest
@@ -183,6 +186,7 @@ class TestSmp:
         )
         assert code == 2
         assert "NotTractable" in err
+        assert "force=True" in err and "--algo poly --force" in err  # the library's and the CLI's
 
     def test_forced_no_reports_unknown(self, capsys):
         code, out, _ = run(
@@ -680,3 +684,41 @@ class TestUsage:
         code, _, err = run(capsys, "smp", "--catalog", "S10")
         assert code == 2
         assert "no instance" in err
+
+
+def readme_examples():
+    """(argv, shown lines) for each `bandsmp ...` line of the README's
+    "Command line" block that shows its output, in the `# ` lines below it
+    or after a `#` on its own line (less a closing parenthesized remark)."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("bandsmp "):
+            command, _, shown = line.partition("#")
+            shown = re.sub(r"\s*\([^()]*\)$", "", shown.strip())
+            examples.append((shlex.split(command)[1:], [shown] if shown else []))
+        elif line.startswith("# "):
+            examples[-1][1].append(line[2:])
+    return [(argv, shown) for argv, shown in examples if shown]
+
+
+class TestReadme:
+    def test_examples_found(self):
+        found = [argv[:2] for argv, _ in readme_examples()]
+        assert ["classify", "--catalog"] in found and ["smp", "--catalog"] in found
+        assert ["words", "ghi"] in found and len(found) >= 5
+
+    @pytest.mark.parametrize("argv, shown", [pytest.param(*example, id=" ".join(example[0]))
+                                             for example in readme_examples()])
+    def test_example_output(self, capsys, argv, shown):
+        # "..." stands for any text; a line of "..." alone ends what is shown
+        _, out, err = run(capsys, *argv)
+        lines = out.splitlines()
+        if shown[-1] == "...":
+            shown, lines = shown[:-1], lines[:len(shown) - 1]
+        assert len(lines) == len(shown)
+        for line, expected in zip(lines, shown):
+            assert re.fullmatch(".*".join(map(re.escape, expected.split("..."))), line), line
+        assert err == ""

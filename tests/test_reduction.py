@@ -6,12 +6,16 @@ import random
 import pytest
 
 from bandsmp import (
+    CATALOG_EXAMPLES,
     SatInstance,
     catalog,
     Witness,
     assignment_to_word,
     canonical_forbidden_witness,
+    construct_forbidden_band,
+    forbidden_subband,
     format_roles,
+    is_witness,
     member_closure,
     mul_tuple,
     normalize_witness,
@@ -26,6 +30,27 @@ from helpers import format_dimacs, has_empty_clause, product_band
 from oracles import naive_sat
 
 S9_WITNESS = Witness(d=5, e=2, x=1, y=4, h=0)
+
+# Every witness (d, e, x, y, h) of a catalog band or its dual whose h is a
+# two-sided identity on d, e, x and y, in 1-based labels, and whether
+# normalize_witness leaves it as it is. All nine are in the bands, none in a
+# dual; the other four all normalize to (6, 3, 2, 5, 1).
+CATALOG_WITNESSES = [
+    ("S9", (6, 3, 2, 5, 1), True),
+    ("T9", (6, 3, 2, 5, 1), True),
+    ("T13a", (6, 3, 2, 5, 1), True),
+    ("T13b", (6, 3, 2, 5, 1), True),
+    ("T17", (6, 3, 2, 5, 1), True),
+    ("T13a", (10, 3, 2, 5, 1), False),
+    ("T13b", (10, 3, 2, 5, 1), False),
+    ("T17", (10, 3, 2, 5, 1), False),
+    ("T17", (14, 3, 2, 5, 1), False),
+]
+UNNORMALIZED = [(name, labels) for name, labels, normalized in CATALOG_WITNESSES if not normalized]
+
+
+def from_labels(labels):
+    return Witness(*(v - 1 for v in labels))
 
 
 def clause_set(sat):
@@ -164,8 +189,11 @@ class TestSatToSmp:
 
     def test_default_band_is_the_synthesized_nine(self):
         out = sat_to_smp(SatInstance(1, (frozenset({1}),)))
-        assert out.band.name == "T9"
-        assert out.witness == canonical_forbidden_witness()
+        assert out.instance.band is construct_forbidden_band("T9")
+        # u = (d, d, d), v = (xe, y, y), a1^0 = (h, x, e): the clause {1} lacks -1
+        u, v, a10, _ = out.instance.gens.members
+        assert u == (u[0],) * 3
+        assert Witness(u[0], a10[2], a10[1], v[1], a10[0]) == canonical_forbidden_witness()
 
     def test_size_linearity(self):
         rng = random.Random(1)
@@ -187,7 +215,7 @@ class TestSatToSmp:
         sat = SatInstance(3, (frozenset({3}),))
         out = sat_to_smp(sat)
         assert out.variable_map == {3: 1}
-        assert out.num_vars == 1
+        assert out.sat.num_vars == 1
         assert out.instance.gens.n == 1 + 2
 
     def test_non_normalized_witness_rejected(self, s9):
@@ -206,6 +234,17 @@ class TestSatToSmp:
         out = sat_to_smp(sat, band, normalize_witness(band, w))
         assert out.instance.gens.n == 3
 
+    @pytest.mark.parametrize("name, labels", UNNORMALIZED)
+    def test_catalog_witness_that_normalizing_moves_rejected(self, name, labels):
+        # h is a two-sided identity on d, e, x, y here, but the words of the
+        # forbidden band do not give a homomorphism at this witness
+        band, w = catalog(name), from_labels(labels)
+        sat = SatInstance(1, (frozenset({1}),))
+        with pytest.raises(NotAWitness, match="is not normalized"):
+            sat_to_smp(sat, band, w)
+        assert normalize_witness(band, w) == S9_WITNESS
+        assert sat_to_smp(sat, band, S9_WITNESS).instance.gens.n == 3
+
     def test_band_without_witness_rejected(self):
         with pytest.raises(NotAWitness, match="witness must be supplied"):
             sat_to_smp(SatInstance(1, (frozenset({1}),)), catalog("T9"))
@@ -223,6 +262,34 @@ class TestSatToSmp:
             out = sat_to_smp(sat)
             assert member_closure(out.instance.gens, out.instance.target) == \
                 naive_sat(k, clauses)
+
+
+class TestOneNormalizedRule:
+    """sat_to_smp and forbidden_subband accept and refuse the same witnesses."""
+
+    def test_the_table_lists_every_such_witness(self):
+        found = []
+        for name in CATALOG_EXAMPLES:
+            for band in (catalog(name), catalog(name).dual()):
+                t = band.table
+                for h in range(band.order):
+                    fixed = [s for s in range(band.order) if t[h][s] == s == t[s][h]]
+                    found += [(name, (d + 1, e + 1, x + 1, y + 1, h + 1))
+                              for d, e, x, y in itertools.product(fixed, repeat=4)
+                              if is_witness(band, Witness(d, e, x, y, h))]
+        assert sorted(found) == sorted((name, labels) for name, labels, _ in CATALOG_WITNESSES)
+
+    @pytest.mark.parametrize("name, labels, normalized", CATALOG_WITNESSES)
+    def test_both_readers_agree(self, name, labels, normalized):
+        band, w = catalog(name), from_labels(labels)
+        sat = SatInstance(1, (frozenset({1}),))
+        if normalized:
+            assert sat_to_smp(sat, band, w).instance.gens.n == 3
+            assert forbidden_subband(band, w)[0] == ("T9" if name == "S9" else name)
+        else:
+            for reader in (lambda: sat_to_smp(sat, band, w), lambda: forbidden_subband(band, w)):
+                with pytest.raises(NotAWitness, match="is not normalized"):
+                    reader()
 
 
 class TestRoundTrips:
@@ -277,7 +344,7 @@ class TestRoundTrips:
                 continue
             done += 1
             out = sat_to_smp(sat)
-            for values in itertools.product((False, True), repeat=out.num_vars):
+            for values in itertools.product((False, True), repeat=out.sat.num_vars):
                 if out.sat.evaluate(values):
                     word = assignment_to_word(out, list(values))
                     assert verify_word(out.instance.gens, word, out.instance.target)
@@ -291,7 +358,7 @@ class TestRoundTrips:
         # always have this shape since u and v absorb repeats
         out = sat_to_smp(SatInstance(2, (frozenset({1, 2}),)))
         gens = out.instance.gens
-        band = out.band
+        band = out.instance.band
         a_indices = [i for i, r in enumerate(out.roles) if r.startswith("a")]
         u_idx, v_idx = out.roles.index("u"), out.roles.index("v")
         for length in range(0, 5):

@@ -278,12 +278,24 @@ class TestEval:
                     eval_word(s10, w, [value, 0])
         assert eval_word(s10, (1, 2), [np.int64(1), 2]) == 3
 
+    @pytest.mark.parametrize("w", [(0,), (-1,), (1, 0), (2, -3, 1)])
+    def test_variables_below_x1_refused(self, s10, w):
+        # x0 and x-1 read the last values through Python's negative indices
+        with pytest.raises(OutOfRange, match="^variable indices start at 1$"):
+            eval_word(s10, w, [1, 2])
+
 
 class TestSatisfiesIdentity:
     @pytest.mark.parametrize("lhs, rhs", [((), (1,)), ((1,), ()), ((), ())])
     def test_empty_side_refused(self, lhs, rhs):
         # one rule, at construction; satisfies_identity never sees an empty side
         with pytest.raises(EmptyWord, match="^an identity needs two nonempty sides$"):
+            Identity(lhs, rhs)
+
+    @pytest.mark.parametrize("lhs, rhs", [((0, 1), (1,)), ((1,), (1, -1)), ((0,), (0,))])
+    def test_variables_below_x1_refused(self, lhs, rhs):
+        # (0, 1) = (1,) came back with the counterexample (0,), which leaves out x0
+        with pytest.raises(OutOfRange, match="^variable indices start at 1$"):
             Identity(lhs, rhs)
 
     def test_regular_identity_holds_in_both_tables(self, s9, s10):
