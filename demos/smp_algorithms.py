@@ -31,10 +31,9 @@ def main():
     print("generators {2, 3}, target 4 in the 10-element band")
     print("closure of the generators:",
           sorted(tuple(v + 1 for v in t) for t in closure(gens)))
-    stats = LoopStats()
-    verdict = smp_decide_poly(SmpInstance(gens, target), stats=stats)
-    print("polynomial decision:", "member" if verdict else "non-member")
-    x, y = stats.witness_pair
+    decision = smp_decide_auto(SmpInstance(gens, target), method="poly")
+    print("polynomial decision:", decision.verdict)
+    x, y = decision.pair
     print(f"suffix x = {tuple(v + 1 for v in x)}, prefix y = {tuple(v + 1 for v in y)},"
           f" and indeed y*x = {tuple(v + 1 for v in mul_tuple(s10, y, x))}")
 

@@ -46,8 +46,8 @@ from .quasi import (
     normalize_witness,
 )
 from .smp import (
-    AutoResult,
     CpInfixInstance,
+    Decision,
     LoopStats,
     cp_infix,
     cp_suffix,

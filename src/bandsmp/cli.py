@@ -113,42 +113,27 @@ def _default_cap(args) -> int:
     return power.DEFAULT_CAP
 
 
-def _decide_one(inst, algo, force, cap) -> dict:
-    """Decide one instance; returns the record that --json prints and
-    --stats renders."""
-    band = inst.band
-    stats = smp.LoopStats()
-    method = algo
-    word = None
-    if algo == "poly":
-        member = smp.smp_decide_poly(inst, force=force, stats=stats)
-    elif algo == "closure":
-        word = power.member_closure_word(inst.gens, inst.target, cap=cap)
-        member = word is not None
-    else:
-        result = smp.smp_decide_auto(inst, cap=cap, stats=stats)
-        method, word, member = result.method, result.word, result.member
-    verdict = "member" if member else "non-member"
-    if not member and force and not quasi.classify(band).tractable:
-        verdict = "unknown"  # completeness needs the quasiidentity scans
-
-    record = {"verdict": verdict, "method": method}
-    if method == "poly":
+def _decide_one(inst, method, force, cap) -> dict:
+    """Decide one instance; returns the record of its Decision that --json
+    prints and --stats renders."""
+    decision = smp.smp_decide_auto(inst, cap=cap, method=method, force=force)
+    record = {"verdict": decision.verdict, "method": decision.method}
+    if decision.method == "poly":
         record["stats"] = {
-            "bound": inst.gens.n * (band.green.height - 1),
-            "infix_inner_max": stats.infix_pass_max,
-            "suffix_while_max": stats.suffix_call_max,
+            "bound": inst.gens.n * (inst.band.green.height - 1),
+            "infix_inner_max": decision.stats.infix_pass_max,
+            "suffix_while_max": decision.stats.suffix_call_max,
         }
-        if stats.witness_pair is not None:
-            x, y = stats.witness_pair
-            record["witness_pair"] = {
-                "x": [v + 1 for v in x],
-                "y": [v + 1 for v in y],
-                "verified": power.mul_tuple(band, y, x) == inst.target,
-            }
-    elif word is not None:
-        record["witness_word"] = word
-        record["verified"] = smp.verify_word(inst.gens, word, inst.target)
+    if decision.pair is not None:
+        x, y = decision.pair
+        record["witness_pair"] = {
+            "x": [v + 1 for v in x],
+            "y": [v + 1 for v in y],
+            "verified": power.mul_tuple(inst.band, y, x) == inst.target,
+        }
+    if decision.word is not None:
+        record["witness_word"] = decision.word
+        record["verified"] = smp.verify_word(inst.gens, decision.word, inst.target)
     return record
 
 
@@ -183,7 +168,7 @@ def _set_worker_band(band: band_mod.Band) -> None:
     _worker_band = band
 
 
-def _decide_entry(source, algo, force, cap, band=None):
+def _decide_entry(source, method, force, cap, band=None):
     """(name, record, error) for a (name, text)
     source over band, by default the worker's; a text of None is read from
     the file name, so an unreadable file gets its own error, and a
@@ -192,7 +177,7 @@ def _decide_entry(source, algo, force, cap, band=None):
     parse = partial(power.parse_instance, band=band or _worker_band)
     try:
         inst = parse_file(name, parse) if text is None else parse(text)
-        return name, _decide_one(inst, algo, force, cap), None
+        return name, _decide_one(inst, method, force, cap), None
     except (BandSmpError, OSError) as exc:
         return name, {"verdict": "error"}, f"{type(exc).__name__}: {exc}"
 
@@ -207,7 +192,8 @@ def _cmd_smp(args) -> int:
         raise BandSmpError("no instance given: use --instance FILE or --inline TEXT")
 
     jobs = min(args.jobs, len(sources), os.cpu_count() or 1)
-    decide = partial(_decide_entry, algo=args.algo, force=args.force, cap=cap)
+    method = None if args.algo == "auto" else args.algo
+    decide = partial(_decide_entry, method=method, force=args.force, cap=cap)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .band import Band
-from .errors import EmptyWord, NotTractable, OutOfRange, PreconditionViolated
+from .errors import EmptyWord, NotTractable, OutOfRange, PreconditionViolated, UnknownName
 from .power import (
     _BLOCK_BYTES,
     _fold,
@@ -49,7 +49,6 @@ class LoopStats:
 
     infix_pass_max: int = 0
     suffix_call_max: int = 0
-    witness_pair: Optional[tuple[ElementTuple, ElementTuple]] = None
 
 
 @dataclass(frozen=True)
@@ -129,12 +128,12 @@ def cp_infix(
     _require_scans(inst.band, force, both=False)
     c, d, e = inst.rows
     A = inst.gens.rows
-    return _tuple(_cp_infix_core(inst.band, A, np.ones(len(A), bool), c, d, e, stats,
-                                 _Misses(A)))
+    return _tuple(_cp_infix_core(inst.band, A, np.ones(len(A), bool), c, d, e,
+                                 stats or LoopStats(), _Misses(A)))
 
 
 def _cp_infix_core(band: Band, A: np.ndarray, sub: np.ndarray, c: np.ndarray, d: np.ndarray,
-                   e: np.ndarray, stats: Optional[LoopStats], hits: _Misses
+                   e: np.ndarray, stats: LoopStats, hits: _Misses
                    ) -> Optional[np.ndarray]:
     """The infix search over the rows a of A with e <=_J a, which the boolean
     k-vector sub picks, and intp n-vectors c, d, e meeting CpInfixInstance's
@@ -155,8 +154,7 @@ def _cp_infix_core(band: Band, A: np.ndarray, sub: np.ndarray, c: np.ndarray, d:
             hit = hits.matches(leq_j.take(y, 0) & solves)
             first = hit.argmax()
             if hit[first]:
-                if stats is not None:
-                    stats.infix_pass_max = max(stats.infix_pass_max, body_count)
+                stats.infix_pass_max = max(stats.infix_pass_max, body_count)
                 result = t[y, A[first]]
                 if (t[t[d, result], e] != c).any():
                     raise AssertionError("infix solver returned an unverified solution")
@@ -179,8 +177,7 @@ def _cp_infix_core(band: Band, A: np.ndarray, sub: np.ndarray, c: np.ndarray, d:
                 raise AssertionError(
                     f"infix inner loop exceeded the n(h-1) bound of {bound}"
                 )
-        if stats is not None:
-            stats.infix_pass_max = max(stats.infix_pass_max, body_count)
+        stats.infix_pass_max = max(stats.infix_pass_max, body_count)
     return None
 
 
@@ -213,11 +210,11 @@ def cp_suffix(
     generators lying J-above the current x.
     """
     _require_scans(gens.band, force, both=False)
-    return _tuple(_cp_suffix_core(gens.band, gens.rows, gens.row(b), stats))
+    return _tuple(_cp_suffix_core(gens.band, gens.rows, gens.row(b), stats or LoopStats()))
 
 
 def _cp_suffix_core(band: Band, A: np.ndarray, b: np.ndarray,
-                    stats: Optional[LoopStats]) -> Optional[np.ndarray]:
+                    stats: LoopStats) -> Optional[np.ndarray]:
     """The suffix loop over a (k, n) generator array and an intp n-vector.
 
     Every step keeps b x = b: the infix solution gives (b a) y x = b.
@@ -245,8 +242,7 @@ def _cp_suffix_core(band: Band, A: np.ndarray, b: np.ndarray,
             if y is not None:
                 break
         else:
-            if stats is not None:
-                stats.suffix_call_max = max(stats.suffix_call_max, iterations)
+            stats.suffix_call_max = max(stats.suffix_call_max, iterations)
             return None
         x = t[t[a, y], x]
         iterations += 1
@@ -254,8 +250,7 @@ def _cp_suffix_core(band: Band, A: np.ndarray, b: np.ndarray,
             raise AssertionError(
                 f"suffix while loop exceeded the n(h-1) bound of {bound}"
             )
-    if stats is not None:
-        stats.suffix_call_max = max(stats.suffix_call_max, iterations)
+    stats.suffix_call_max = max(stats.suffix_call_max, iterations)
     if not leq_cw(green.leq_l, b, x):
         raise AssertionError("suffix solver returned an unverified solution")
     return x
@@ -266,45 +261,62 @@ def smp_decide_poly(
     force: bool = False,
     stats: Optional[LoopStats] = None,
 ) -> bool:
-    """Membership via the suffix solver on the band and on its dual.
-
-    b is in <A> iff some x in <A> is L-related to b and some y is
-    R-related to b; then b = y x. Requires a tractable band unless forced.
-    """
-    band = inst.band
-    _require_scans(band, force, both=True)
-    A, b = inst.gens.rows, inst.row
-    x = _cp_suffix_core(band, A, b, stats)
-    if x is None:
-        return False
-    y = _cp_suffix_core(band.dual(), A, b, stats)
-    if y is None:
-        return False
-    if (band.itable[y, x] != b).any():
-        raise AssertionError("x L b and y R b should force b = y x")
-    if stats is not None:
-        stats.witness_pair = (_tuple(x), _tuple(y))
-    return True
+    """Is b in <A>, by smp_decide_auto's polynomial path?"""
+    return smp_decide_auto(inst, stats=stats, method="poly", force=force).member
 
 
 @dataclass(frozen=True)
-class AutoResult:
-    member: bool
-    method: str  # "poly" or "closure"
-    word: Optional[list[int]] = None  # closure-path witness word, 1-based
+class Decision:
+    """A verdict, "member", "non-member" or "unknown", and what backs it:
+    the method, "poly" or "closure", the poly path's loop counters, and a
+    member's certificate, the closure path's shortest word (1-based
+    generator indices) or the poly path's (x, y) in <A> with x L b, y R b."""
+
+    verdict: str
+    method: str
+    stats: LoopStats
+    word: Optional[list[int]] = None
+    pair: Optional[tuple[ElementTuple, ElementTuple]] = None
+
+    @property
+    def member(self) -> bool:
+        return self.verdict == "member"
 
 
 def smp_decide_auto(
     inst: SmpInstance,
     cap: int = DEFAULT_CAP,
     stats: Optional[LoopStats] = None,
-) -> AutoResult:
-    """Dispatch on the dichotomy: polynomial algorithm when the band is
-    tractable, closure oracle (with cap) otherwise."""
-    if classify(inst.band).tractable:
-        return AutoResult(member=smp_decide_poly(inst, stats=stats), method="poly")
-    word = member_closure_word(inst.gens, inst.target, cap=cap)
-    return AutoResult(member=word is not None, method="closure", word=word)
+    method: Optional[str] = None,
+    force: bool = False,
+) -> Decision:
+    """Decide b in <A> by method: "poly", the suffix solver on the band and on
+    its dual (b is a member iff some x in <A> is L-related to b and some y
+    R-related), or "closure", the closure search with cap. None picks poly
+    when the band passes both quasiidentity scans, closure otherwise.
+
+    force lifts the poly path's scan gate; a forced "no" on a band failing
+    a scan is unknown, as completeness needs the scans.
+    """
+    stats = stats or LoopStats()
+    band = inst.band
+    if method is None:
+        method = "poly" if classify(band).tractable else "closure"
+    if method == "closure":
+        word = member_closure_word(inst.gens, inst.target, cap=cap)
+        return Decision("non-member" if word is None else "member", method, stats, word=word)
+    if method != "poly":
+        raise UnknownName(f"no method {method!r}; expected None, 'poly' or 'closure'")
+    _require_scans(band, force, both=True)
+    A, b = inst.gens.rows, inst.row
+    x = _cp_suffix_core(band, A, b, stats)
+    y = None if x is None else _cp_suffix_core(band.dual(), A, b, stats)
+    if y is None:
+        unknown = force and not classify(band).tractable
+        return Decision("unknown" if unknown else "non-member", method, stats)
+    if (band.itable[y, x] != b).any():
+        raise AssertionError("x L b and y R b should force b = y x")
+    return Decision("member", method, stats, pair=(_tuple(x), _tuple(y)))
 
 
 def verify_word(gens: GenSet, word: Sequence[int], b: ElementTuple) -> bool:

@@ -2,7 +2,7 @@
 operation and the probes of a traced round once, untimed, and every check
 passes.
 
-The benchmark reads the CLI's JSON keys and batch lines, ``AutoResult``'s
+The benchmark reads the CLI's JSON keys and batch lines, ``Decision``'s
 fields and the loop counters; a change to any of them fails here, in the
 tests the library is checked with, and not first in a benchmark run.
 """

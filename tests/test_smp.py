@@ -474,10 +474,10 @@ class TestArraySolversAgainstReferee:
         m, n = 3, 200
         band = chain_semilattice(m)
         gens, target = staircase(m, n, True)
-        stats = LoopStats()
-        assert smp_decide_poly(SmpInstance(GenSet.of(band, gens), target), stats=stats)
-        assert stats.witness_pair == (target, target)  # 0 is alone in its L- and R-class
-        assert stats.suffix_call_max == n * (m - 1)
+        decision = smp_decide_auto(SmpInstance(GenSet.of(band, gens), target), method="poly")
+        assert decision.member
+        assert decision.pair == (target, target)  # 0 is alone in its L- and R-class
+        assert decision.stats.suffix_call_max == n * (m - 1)
 
 
 class TestSmpDecide:
@@ -562,10 +562,10 @@ class TestSmpDecide:
         seen = 0
         for _ in range(100):
             inst = random_instance(s10, rng, max_n=2, max_k=3)
-            stats = LoopStats()
-            if smp_decide_poly(inst, stats=stats):
+            decision = smp_decide_auto(inst, method="poly")
+            if decision.member:
                 seen += 1
-                x, y = stats.witness_pair
+                x, y = decision.pair
                 assert mul_tuple(s10, y, x) == inst.target
         assert seen > 10
 
