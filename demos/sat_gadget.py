@@ -13,7 +13,7 @@ from bandsmp import (
     assignment_to_word,
     canonical_forbidden_witness,
     format_instance,
-    member_closure,
+    member_closure_word,
     parse_dimacs,
     sat_to_smp,
     verify_word,
@@ -41,7 +41,7 @@ def main():
     out = sat_to_smp(sat)  # the default gadget: T9 and its canonical witness
     print(f"gadget band: {out.instance.band.name}, witness {canonical_forbidden_witness()}")
     show(out)
-    member = member_closure(out.instance.gens, out.instance.target)
+    member = member_closure_word(out.instance.gens, out.instance.target) is not None
     print("target generated:", member, "| formula satisfiable:", satisfiable(sat))
 
     print()
@@ -58,8 +58,8 @@ def main():
     sat = SatInstance(1, (frozenset({1}), frozenset({-1})))
     out = sat_to_smp(sat)
     show(out)
-    print("target generated:", member_closure(out.instance.gens, out.instance.target),
-          "| formula satisfiable:", satisfiable(sat))
+    member = member_closure_word(out.instance.gens, out.instance.target) is not None
+    print("target generated:", member, "| formula satisfiable:", satisfiable(sat))
 
     print()
     print("== The emitted instance file ==")

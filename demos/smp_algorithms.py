@@ -15,7 +15,7 @@ from bandsmp import (
     catalog,
     closure,
     cp_suffix,
-    member_closure,
+    member_closure_word,
     mul_tuple,
     smp_decide_auto,
     smp_decide_poly,
@@ -79,7 +79,7 @@ def main():
             inst = SmpInstance(gens, target)
             stats = LoopStats()
             fast = smp_decide_poly(inst, stats=stats)
-            slow = member_closure(gens, target)
+            slow = member_closure_word(gens, target) is not None
             checked += 1
             agreements += fast == slow
             bound = max(bound, n * (band.green.height - 1))

@@ -26,7 +26,6 @@ from .power import (
     SmpInstance,
     closure,
     format_instance,
-    member_closure,
     member_closure_word,
     mul_tuple,
     parse_instance,

@@ -107,9 +107,12 @@ def _default_cap(args) -> int:
     env = os.environ.get("BANDSMP_CAP")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise BandSmpError(f"BANDSMP_CAP must be an integer, got {env!r}") from None
+        if cap < 0:
+            raise BandSmpError(f"BANDSMP_CAP must be at least 0, got {env!r}")
+        return cap
     return power.DEFAULT_CAP
 
 
@@ -407,8 +410,15 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "force", False) and args.algo != "poly":
-        parser.error("--force requires --algo poly")
+    if args.command == "smp":  # flags that would do nothing are refused
+        if args.force and args.algo != "poly":
+            parser.error("--force requires --algo poly")
+        if args.stats and len(args.instance or []) + bool(args.inline) > 1:
+            parser.error("--stats requires a single instance")
+        if args.cap is not None and args.cap < 0:
+            parser.error(f"--cap must be at least 0, got {args.cap}")
+        if args.jobs < 1:
+            parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except (BandSmpError, OSError) as exc:

@@ -5,7 +5,8 @@ labels throughout."""
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from operator import index
 
 
 class BandSmpError(Exception):
@@ -98,6 +99,16 @@ def integer(value) -> int:
     if type(value) is not int:
         raise TypeError(f"{value!r} is not an integer")
     return value
+
+
+def as_int(value, what: str) -> int:
+    """value as an int through operator.index, so an int or a numpy integer
+    passes; a bool, 1.5 or "3" is refused with an OutOfRange naming what,
+    not read as 1 (operator.index(True) is 1) or left to a bare TypeError."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return index(value)
+    raise OutOfRange(f"{what} {value!r} is not an integer")
 
 
 def labels(values: list) -> tuple[int, ...]:

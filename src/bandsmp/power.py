@@ -300,11 +300,6 @@ def closure(gens: GenSet, cap: int = DEFAULT_CAP) -> list[ElementTuple]:
     return out
 
 
-def member_closure(gens: GenSet, b: ElementTuple, cap: int = DEFAULT_CAP) -> bool:
-    """Exact membership b in <A> by closure, with early exit."""
-    return _bfs(gens, cap, stop_at=b).hit is not None
-
-
 def member_closure_word(
     gens: GenSet, b: ElementTuple, cap: int = DEFAULT_CAP
 ) -> Optional[list[int]]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .band import Band
-from .errors import DimacsSyntaxError, NotAWitness, NotAWitnessingWord, OutOfRange
+from .errors import DimacsSyntaxError, NotAWitness, NotAWitnessingWord, OutOfRange, as_int
 from .power import GenSet, SmpInstance
 from .quasi import (Witness, canonical_forbidden_witness, construct_forbidden_band,
                     require_normalized)
@@ -31,8 +31,10 @@ class SatInstance:
     clauses: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        as_int(self.num_vars, "variable count")
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
+                lit = as_int(lit, f"clause {ci + 1}: literal")
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise OutOfRange(f"clause {ci + 1}: literal {lit} out of range")
 

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .band import Band
-from .errors import EmptyWord, NotTractable, OutOfRange, PreconditionViolated, UnknownName
+from .errors import (EmptyWord, NotTractable, OutOfRange, PreconditionViolated, UnknownName,
+                     as_int)
 from .power import (
     _BLOCK_BYTES,
     _fold,
@@ -324,6 +325,7 @@ def verify_word(gens: GenSet, word: Sequence[int], b: ElementTuple) -> bool:
     if not word:
         raise EmptyWord("a witnessing word must be nonempty")
     k = len(gens)
+    word = [as_int(i, "generator index") for i in word]
     for i in word:
         if not 1 <= i <= k:
             raise OutOfRange(f"generator index {i} outside 1..{k}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .band import Band
 from .errors import (ArityTooLarge, EmptyWord, OutOfRange, ParseError, UnboundVariable,
-                     UnsupportedIndex, parsing)
+                     UnsupportedIndex, as_int, parsing)
 from .power import _BLOCK_BYTES, _fold, _refusal
 
 Word = tuple[int, ...]
@@ -92,6 +92,7 @@ def h_n(n: int, w: Word) -> Word:
     dual(h_{n-1}(dual w_j)) over j = L..0, and its dual the reverse. An
     output longer than MAX_WORD_LENGTH is refused before it is built.
     """
+    n = as_int(n, "n")
     if n < 2:
         raise UnsupportedIndex(f"h_n is defined for n >= 2, got {n}")
     if _h_length(n, w) > MAX_WORD_LENGTH:
@@ -118,6 +119,7 @@ def h_n(n: int, w: Word) -> Word:
 def length_bound_p(n: int, k: int) -> int:
     """Length bound for h_n on words over k variables: p_2 = 1, p_{n+1}(k) = k(1 + p_n(k)),
     so p_n(1) = n - 1 and p_n(k) = (k^(n-1) - k)/(k - 1) + k^(n-2) for k >= 2."""
+    n, k = as_int(n, "n"), as_int(k, "k")
     if n < 2:
         raise UnsupportedIndex(f"p_n is defined for n >= 2, got {n}")
     if k < 1:
@@ -138,6 +140,7 @@ def ghi_word(family: str, n: int) -> Word:
     """G_n, H_n or I_n for n >= 2, from G_2 = x2 x1, H_2 = x2, I_2 = x2 x1 x2 and
     G_n = x_n dual(G_{n-1}), H_n = G_n x_n dual(H_{n-1}), I_n = G_n x_n dual(I_{n-1})."""
     bases = {"G": (2, 1), "H": (2,), "I": (2, 1, 2)}
+    n = as_int(n, "n")
     if family not in bases or n < 2:
         raise UnsupportedIndex(f"no word {family}_{n}: G/H/I are defined for n >= 2")
     length = n if family == "G" else (n * n + 3 * n - 8) // 2 + 2 * (family == "I")
@@ -152,6 +155,15 @@ def ghi_word(family: str, n: int) -> Word:
     return tuple(reversed(w) if flipped else w)
 
 
+def _variables(w: Sequence) -> Sequence[int]:
+    """w's variables read by as_int, as ints from 1 (x0 would read the last value)."""
+    if not set(map(type, w)) <= {int}:  # the fast test; as_int names the culprit
+        w = [as_int(v, "variable") for v in w]
+    if min(w) < 1:
+        raise OutOfRange("variable indices start at 1")
+    return w
+
+
 @dataclass(frozen=True)
 class Identity:
     """An equation lhs ~ rhs between nonempty words."""
@@ -162,8 +174,7 @@ class Identity:
     def __post_init__(self):
         if not self.lhs or not self.rhs:
             raise EmptyWord("an identity needs two nonempty sides")
-        if min(self.lhs + self.rhs) < 1:
-            raise OutOfRange("variable indices start at 1")
+        _variables(self.lhs + self.rhs)
 
     def dual(self) -> "Identity":
         return Identity(dual_word(self.lhs), dual_word(self.rhs))
@@ -173,8 +184,7 @@ def eval_word(band: Band, w: Word, assignment: Sequence[int]) -> int:
     """The term function of w at the assignment (assignment[i] is x_{i+1})."""
     if not w:
         raise EmptyWord("cannot evaluate the empty word in a band")
-    if min(w) < 1:  # x0 would read the last value
-        raise OutOfRange("variable indices start at 1")
+    w = _variables(w)
     try:
         values = [assignment[v - 1] for v in w]
     except IndexError:

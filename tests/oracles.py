@@ -56,6 +56,22 @@ def naive_tuple_closure(table, gens):
         cur = nxt
 
 
+def word_product(table, gens, word):
+    """The product of a 1-based generator word, one tuple at a time."""
+    return reduce(lambda acc, i: tuple_mul(table, acc, gens[i - 1]), word[1:], gens[word[0] - 1])
+
+
+def naive_pair_certifies(table, gens, b, x, y):
+    """x and y lie in <gens>, x L b and y R b componentwise, and y x = b."""
+    members = naive_tuple_closure(table, gens)
+
+    def related(leq, s, t):
+        return all(leq(table, u, v) and leq(table, v, u) for u, v in zip(s, t))
+
+    return (x in members and y in members and related(naive_leq_l, x, b)
+            and related(naive_leq_r, y, b) and tuple_mul(table, y, x) == tuple(b))
+
+
 def eval_word(table, w, assignment):
     return reduce(lambda acc, v: table[acc][assignment[v - 1]], w[1:], assignment[w[0] - 1])
 

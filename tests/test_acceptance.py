@@ -29,7 +29,7 @@ from bandsmp import (
     ghi_word,
     h_n,
     length_bound_p,
-    member_closure,
+    member_closure_word,
     mul_tuple,
     sat_to_smp,
     satisfies_identity,
@@ -181,7 +181,8 @@ def oracle_sweep():
             inst = _random_instance(band, rng, max_n=4, max_k=4)
             stats = LoopStats()
             got = smp_decide_poly(inst, stats=stats)
-            record(name, inst, h, got, member_closure(inst.gens, inst.target), stats)
+            want = member_closure_word(inst.gens, inst.target) is not None
+            record(name, inst, h, got, want, stats)
     sweep["elapsed"] = time.monotonic() - start
     return sweep
 
@@ -221,7 +222,7 @@ def test_criterion_7_sat_reduction_equivalence():
     agree = 0
     for sat in formulas:
         out = sat_to_smp(sat)
-        assert member_closure(out.instance.gens, out.instance.target) == \
+        assert (member_closure_word(out.instance.gens, out.instance.target) is not None) == \
             naive_sat(sat.num_vars, sat.clauses)
         agree += 1
     report(7, f"satisfiability matches membership on the reduced instance "

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, formats, and exit codes."""
 
 import concurrent.futures
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -9,7 +11,8 @@ import time
 
 import pytest
 
-from bandsmp import catalog, member_closure, parse_band_text, parse_instance
+from bandsmp import (catalog, member_closure_word, parse_band_text, parse_instance,
+                     smp_decide_auto)
 from bandsmp import cli, words
 from bandsmp.cli import main
 
@@ -201,6 +204,35 @@ class TestSmp:
             "--inline", "1 2; 2; 3; 4", "--algo", "poly", "--force",
         )
         assert code == 0 and out == "member\n"
+
+    @pytest.mark.parametrize("name, text, flags, kwargs", [
+        ("S10", "1 2; 2; 3; 4", [], {}),
+        ("S10", "1 1; 3; 4", [], {}),
+        ("S9", "1 2; 2; 3; 4", [], {}),
+        ("S9", "1 1; 2; 4", [], {}),
+        ("S10", "1 2; 2; 3; 4", ["--algo", "closure"], {"method": "closure"}),
+        ("S9", "1 2; 2; 3; 4", ["--algo", "poly", "--force"], {"method": "poly", "force": True}),
+        ("S9", "1 1; 2; 4", ["--algo", "poly", "--force"], {"method": "poly", "force": True}),
+    ], ids=["auto to poly member", "auto to poly non-member", "auto to closure member",
+            "auto to closure non-member", "closure on a tractable band", "forced member",
+            "forced unknown"])
+    def test_json_renders_the_library_decision(self, capsys, name, text, flags, kwargs):
+        band = catalog(name)
+        inst = parse_instance(text.replace(";", "\n"), band)
+        decision = smp_decide_auto(inst, **kwargs)
+        want = {"verdict": decision.verdict, "method": decision.method}
+        if decision.method == "poly":
+            want["stats"] = {"bound": inst.gens.n * (band.green.height - 1),
+                             "infix_inner_max": decision.stats.infix_pass_max,
+                             "suffix_while_max": decision.stats.suffix_call_max}
+        if decision.pair is not None:
+            x, y = ([v + 1 for v in t] for t in decision.pair)
+            want["witness_pair"] = {"x": x, "y": y, "verified": True}
+        if decision.word is not None:
+            want.update(witness_word=decision.word, verified=True)
+        code, out, err = run(capsys, "smp", "--catalog", name, "--inline", text, *flags, "--json")
+        assert json.loads(out) == want and err == ""
+        assert code == {"member": 0, "non-member": 1, "unknown": 2}[decision.verdict]
 
     def test_instance_file_and_json(self, capsys, tmp_path):
         path = tmp_path / "inst.txt"
@@ -468,6 +500,13 @@ class TestMalformedInput:
         code, _, err = run(capsys, "smp", "--catalog", "S10", "--inline", "1 2; 2; 3; 4")
         self.assert_one_line_error(code, err, "BANDSMP_CAP")
 
+    def test_negative_cap_env(self, capsys, monkeypatch):
+        # it acted as a cap of 0, as --cap -1 did
+        monkeypatch.setenv("BANDSMP_CAP", "-1")
+        code, _, err = run(capsys, "smp", "--catalog", "S10", "--inline", "1 2; 2; 3; 4")
+        self.assert_one_line_error(code, err,
+                                   "BandSmpError: BANDSMP_CAP must be at least 0, got '-1'")
+
 
 class TestWords:
     def test_hn(self, capsys):
@@ -567,7 +606,7 @@ class TestReduce:
         assert code == 0
         assert "arity 3" in out
         inst = parse_instance(out_path.read_text(), catalog("T9"))
-        assert member_closure(inst.gens, inst.target)
+        assert member_closure_word(inst.gens, inst.target) is not None
         assert roles_path.read_text() == "1 u\n2 v\n3 a1^0\n4 a1^1\n"
         # and the CLI agrees
         code, out, _ = run(
@@ -586,7 +625,7 @@ class TestReduce:
         )
         assert code == 0
         inst = parse_instance(out_path.read_text(), catalog("S9"))
-        assert not member_closure(inst.gens, inst.target)
+        assert member_closure_word(inst.gens, inst.target) is None
         assert not naive_sat(1, (frozenset({1}), frozenset({-1})))
 
     def test_empty_formula_round_trip(self, capsys, tmp_path):
@@ -680,6 +719,24 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.endswith("bandsmp: error: --force requires --algo poly\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--instance", "a.smp", "b.smp", "--stats"], "--stats requires a single instance"),
+        (["--inline", "1 2; 2; 3; 4", "--instance", "a.smp", "--stats"],
+         "--stats requires a single instance"),
+        (["--inline", "1 2; 2; 3; 4", "--cap", "-1"], "--cap must be at least 0, got -1"),
+        (["--inline", "1 2; 2; 3; 4", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+        (["--inline", "1 2; 2; 3; 4", "--jobs", "-2"], "--jobs must be at least 1, got -2"),
+    ], ids=["stats on a batch", "stats on inline plus file", "negative cap", "no jobs",
+            "negative jobs"])
+    def test_flags_that_would_do_nothing(self, capsys, argv, message):
+        # a batch prints no stats, a negative cap acted as 0, and no jobs as one
+        with pytest.raises(SystemExit) as exc:
+            main(["smp", "--catalog", "S9", *argv])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"bandsmp: error: {message}\n")
+
     def test_missing_instance(self, capsys):
         code, _, err = run(capsys, "smp", "--catalog", "S10")
         assert code == 2
@@ -704,7 +761,28 @@ def readme_examples():
     return [(argv, shown) for argv, shown in examples if shown]
 
 
+def readme_quick_start():
+    """The README's "Library quick start" Python block, and for each of its
+    print lines the output that line's comment gives: the comment's text,
+    less a remark after the first ": "."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Library quick start\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = [line.split("  # ", 1)[1].split(": ", 1)[0]
+             for line in block.splitlines() if line.startswith("print(")]
+    return block, shown
+
+
 class TestReadme:
+    def test_quick_start_output(self):
+        block, shown = readme_quick_start()
+        assert len(shown) >= 6 and "TRACTABLE" in shown and "True" in shown
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, {})
+        assert out.getvalue().splitlines() == shown
+
+
     def test_examples_found(self):
         found = [argv[:2] for argv, _ in readme_examples()]
         assert ["classify", "--catalog"] in found and ["smp", "--catalog"] in found

@@ -16,7 +16,7 @@ from bandsmp import (
     forbidden_subband,
     format_roles,
     is_witness,
-    member_closure,
+    member_closure_word,
     mul_tuple,
     normalize_witness,
     parse_dimacs,
@@ -170,22 +170,23 @@ class TestSatToSmp:
             ((frozenset({1}), frozenset({-1})), False),
         ]:
             out = sat_to_smp(SatInstance(1, clauses))
-            assert member_closure(out.instance.gens, out.instance.target) == expected
+            word = member_closure_word(out.instance.gens, out.instance.target)
+            assert (word is not None) == expected
 
     def test_empty_clause_makes_target_unreachable(self):
         out = sat_to_smp(SatInstance(1, (frozenset({1}), frozenset())))
-        assert not member_closure(out.instance.gens, out.instance.target)
+        assert member_closure_word(out.instance.gens, out.instance.target) is None
 
     def test_vacuous_formula(self):
         out = sat_to_smp(parse_dimacs("p cnf 0 0\n"))
-        assert member_closure(out.instance.gens, out.instance.target)
+        assert member_closure_word(out.instance.gens, out.instance.target) is not None
         word = assignment_to_word(out, [])
         assert verify_word(out.instance.gens, word, out.instance.target)
         assert word_to_assignment(out, word) == []
 
     def test_all_empty_clauses(self):
         out = sat_to_smp(parse_dimacs("p cnf 0 1\n0\n"))
-        assert not member_closure(out.instance.gens, out.instance.target)
+        assert member_closure_word(out.instance.gens, out.instance.target) is None
 
     def test_default_band_is_the_synthesized_nine(self):
         out = sat_to_smp(SatInstance(1, (frozenset({1}),)))
@@ -260,7 +261,7 @@ class TestSatToSmp:
             )
             sat = SatInstance(k, clauses)
             out = sat_to_smp(sat)
-            assert member_closure(out.instance.gens, out.instance.target) == \
+            assert (member_closure_word(out.instance.gens, out.instance.target) is not None) == \
                 naive_sat(k, clauses)
 
 
@@ -399,4 +400,4 @@ class TestDualOrientation:
         w = normalize_witness(gadget_band, cls.lambda_dual_witness)
         sat = SatInstance(1, (frozenset({1}), frozenset({-1})))
         out = sat_to_smp(sat, gadget_band, w)
-        assert member_closure(out.instance.gens, out.instance.target) is False
+        assert member_closure_word(out.instance.gens, out.instance.target) is None

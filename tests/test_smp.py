@@ -20,7 +20,7 @@ from bandsmp import (
     closure,
     cp_infix,
     cp_suffix,
-    member_closure,
+    member_closure_word,
     mul_tuple,
     smp_decide_auto,
     smp_decide_poly,
@@ -33,6 +33,7 @@ from bandsmp.errors import (
     NotTractable,
     OutOfRange,
     PreconditionViolated,
+    UnknownName,
 )
 from bandsmp.power import leq_cw
 
@@ -515,7 +516,7 @@ class TestSmpDecide:
         for _ in range(150):
             inst = random_instance(s9, rng, max_n=3, max_k=3)
             if smp_decide_poly(inst, force=True):
-                assert member_closure(inst.gens, inst.target)
+                assert member_closure_word(inst.gens, inst.target) is not None
 
     def test_zero_arity(self, s10):
         inst = SmpInstance(GenSet.of(s10, [()], n=0), ())
@@ -532,7 +533,7 @@ class TestSmpDecide:
         rng = random.Random(3)
         for _ in range(250):
             inst = random_instance(band, rng)
-            expected = member_closure(inst.gens, inst.target)
+            expected = member_closure_word(inst.gens, inst.target) is not None
             assert smp_decide_poly(inst) == expected
 
     @pytest.mark.parametrize("name", ["S10", "SL-chain(4)"])
@@ -595,7 +596,7 @@ class TestAuto:
         inst = SmpInstance(GenSet.of(s9, [(1,), (2,)]), (3,))
         result = smp_decide_auto(inst)
         assert result.method == "closure"
-        assert result.member == member_closure(inst.gens, inst.target)
+        assert result.member == (member_closure_word(inst.gens, inst.target) is not None)
         assert result.word is not None
         assert verify_word(inst.gens, result.word, inst.target)
 
@@ -604,6 +605,71 @@ class TestAuto:
         inst = SmpInstance(GenSet.of(band, [(0, 0)]), (0, 0))
         result = smp_decide_auto(inst)
         assert result.member and result.method == "poly"
+
+
+#: the four paths to a verdict: (band, smp_decide_auto's keywords, the method taken)
+DECISION_PATHS = {
+    "auto to poly": ("S10", {}, "poly"),
+    "auto to closure": ("S9", {}, "closure"),
+    "closure on a tractable band": ("S10", {"method": "closure"}, "closure"),
+    "forced poly on a failing band": ("S9", {"method": "poly", "force": True}, "poly"),
+}
+
+
+class TestDecision:
+    @pytest.mark.parametrize("path", DECISION_PATHS)
+    def test_every_member_carries_a_checked_certificate(self, path):
+        name, kwargs, method = DECISION_PATHS[path]
+        band = catalog(name)
+        rng = random.Random(8)
+        verdicts = Counter()
+        for _ in range(150):
+            inst = random_instance(band, rng, max_n=3, max_k=3)
+            decision = smp_decide_auto(inst, **kwargs)
+            verdicts[decision.verdict] += 1
+            assert decision.method == method
+            members = inst.gens.members
+            if decision.member and method == "poly":
+                assert decision.word is None
+                assert oracles.naive_pair_certifies(band.table, members, inst.target,
+                                                    *decision.pair)
+            elif decision.member:
+                assert decision.pair is None
+                assert oracles.word_product(band.table, members, decision.word) == inst.target
+            else:
+                assert decision.pair is None and decision.word is None
+            if decision.verdict != "unknown":
+                closed = oracles.naive_tuple_closure(band.table, members)
+                assert decision.member == (inst.target in closed)
+        assert verdicts["member"] > 20
+        # a forced run's "no" on a failing band is never a non-member
+        assert (verdicts["non-member"] > 0) != ("force" in kwargs)
+
+    def test_forced_run_without_a_pair_is_unknown(self, s9):
+        inst = SmpInstance(GenSet.of(s9, [(1,)]), (3,))  # the closure says non-member
+        decision = smp_decide_auto(inst, method="poly", force=True)
+        assert (decision.verdict, decision.method, decision.pair, decision.word) == (
+            "unknown", "poly", None, None)
+        assert not decision.member
+        assert smp_decide_poly(inst, force=True) is False
+        with pytest.raises(NotTractable):
+            smp_decide_auto(inst, method="poly")
+
+    def test_forced_no_on_a_tractable_band_is_non_member(self, s10):
+        inst = SmpInstance(GenSet.of(s10, [(2,)]), (3,))
+        assert smp_decide_auto(inst, method="poly", force=True).verdict == "non-member"
+
+    def test_stats_given_are_the_stats_returned(self, s10):
+        stats = LoopStats()
+        inst = SmpInstance(GenSet.of(s10, [(1,), (2,)]), (3,))
+        assert smp_decide_auto(inst, stats=stats).stats is stats
+        made = smp_decide_auto(inst).stats  # one made for the call, with the same counts
+        assert made is not stats and made == stats
+
+    def test_unknown_method(self, s10):
+        inst = SmpInstance(GenSet.of(s10, [(1,), (2,)]), (3,))
+        with pytest.raises(UnknownName, match="no method 'auto'"):
+            smp_decide_auto(inst, method="auto")
 
 
 class TestVerifyWord:

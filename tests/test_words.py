@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from bandsmp import (
+    GenSet,
     Identity,
+    SatInstance,
     catalog,
     content,
     dual_word,
@@ -21,6 +23,7 @@ from bandsmp import (
     length_bound_p,
     satisfies_identity,
     sigma,
+    verify_word,
     word_from_text,
     word_to_text,
 )
@@ -375,3 +378,45 @@ class TestSatisfiesIdentity:
             hw = h_n(n, w)
             assign = [rng.randrange(band.order) for _ in range(4)]
             assert eval_word(band, w, assign) == eval_word(band, hw, assign)
+
+
+class TestIntegerRule:
+    """Word variables, generator indices and size parameters pass through
+    operator.index, less bool: True is not read as 1, and 1.5 is not left
+    to a bare TypeError or IndexError, or to a wrong answer."""
+
+    @pytest.mark.parametrize("call, shown", [
+        (lambda s10: verify_word(GenSet.of(s10, [(1,), (2,)]), [True, 2], (3,)),
+         "generator index True"),
+        (lambda s10: verify_word(GenSet.of(s10, [(1,)]), [1.5], (1,)), "generator index 1.5"),
+        (lambda s10: length_bound_p(3.5, 2), "n 3.5"),
+        (lambda s10: length_bound_p(3, True), "k True"),
+        (lambda s10: h_n(2.5, (1, 2)), "n 2.5"),
+        (lambda s10: ghi_word("G", 2.5), "n 2.5"),
+        (lambda s10: SatInstance(2.5, ()), "variable count 2.5"),
+        (lambda s10: SatInstance(True, (frozenset({1}),)), "variable count True"),
+        (lambda s10: SatInstance(1, (frozenset({1.5}),)), "clause 1: literal 1.5"),
+        (lambda s10: SatInstance(1, (frozenset({1}), frozenset({True}))),
+         "clause 2: literal True"),
+        (lambda s10: eval_word(s10, (1.5,), [1, 2]), "variable 1.5"),
+        (lambda s10: eval_word(s10, (True,), [3, 2]), "variable True"),
+        (lambda s10: Identity((1.5,), (1,)), "variable 1.5"),
+        (lambda s10: Identity((1,), (1, True)), "variable True"),
+        (lambda s10: Identity((1,), ("2",)), "variable '2'"),
+    ], ids=["verify_word bool", "verify_word float", "length_bound_p n", "length_bound_p k",
+            "h_n", "ghi_word", "SatInstance count", "SatInstance bool count",
+            "SatInstance literal", "SatInstance bool literal", "eval_word float",
+            "eval_word bool", "Identity float", "Identity bool", "Identity str"])
+    def test_refused_with_one_line(self, s10, call, shown):
+        with pytest.raises(OutOfRange) as exc:
+            call(s10)
+        assert str(exc.value) == f"{shown} is not an integer"
+
+    def test_numpy_integers_pass(self, s10):
+        gens = GenSet.of(s10, [(1,), (2,)])
+        assert verify_word(gens, [np.int64(1), np.int32(2)], (3,))
+        assert length_bound_p(np.int64(4), np.int8(3)) == length_bound_p(4, 3)
+        assert h_n(np.int64(3), (2, 1)) == h_n(3, (2, 1))
+        assert ghi_word("G", np.int16(3)) == ghi_word("G", 3)
+        assert eval_word(s10, (np.int64(1), 2), [1, 2]) == eval_word(s10, (1, 2), [1, 2])
+        assert SatInstance(np.int64(1), (frozenset({np.int64(-1)}),)).num_vars == 1
