@@ -20,6 +20,7 @@ from .errors import (
     OutOfRange,
     SizeBoundExceeded,
     UnknownName,
+    as_int,
     integer,
     labels,
     parse_file,
@@ -308,18 +309,22 @@ def _literal(rows: str) -> list[list[int]]:
 
 
 def left_zero(m: int) -> Band:
+    m = as_int(m, "order")
     return Band([[a] * m for a in range(m)], name=f"LZ({m})")
 
 
 def right_zero(m: int) -> Band:
+    m = as_int(m, "order")
     return Band([list(range(m)) for _ in range(m)], name=f"RZ({m})")
 
 
 def chain_semilattice(m: int) -> Band:
+    m = as_int(m, "order")
     return Band([[min(a, b) for b in range(m)] for a in range(m)], name=f"SL-chain({m})")
 
 
 def rectangular(p: int, q: int) -> Band:
+    p, q = as_int(p, "p"), as_int(q, "q")
     m = p * q
     rows = [[(a // q) * q + (b % q) for b in range(m)] for a in range(m)]
     return Band(rows, name=f"Rect({p},{q})")

@@ -31,7 +31,8 @@ class SatInstance:
     clauses: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        as_int(self.num_vars, "variable count")
+        if as_int(self.num_vars, "variable count") < 0:
+            raise OutOfRange(f"variable count {self.num_vars} is negative")
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
                 lit = as_int(lit, f"clause {ci + 1}: literal")

@@ -14,13 +14,16 @@ from bandsmp import (
     Identity,
     SatInstance,
     catalog,
+    chain_semilattice,
     content,
     dual_word,
     eval_word,
     ghi_word,
     h_n,
     left_cut_s,
+    left_zero,
     length_bound_p,
+    rectangular,
     satisfies_identity,
     sigma,
     verify_word,
@@ -403,10 +406,14 @@ class TestIntegerRule:
         (lambda s10: Identity((1.5,), (1,)), "variable 1.5"),
         (lambda s10: Identity((1,), (1, True)), "variable True"),
         (lambda s10: Identity((1,), ("2",)), "variable '2'"),
+        (lambda s10: chain_semilattice(2.5), "order 2.5"),
+        (lambda s10: left_zero(True), "order True"),
+        (lambda s10: rectangular(2, 1.5), "q 1.5"),
     ], ids=["verify_word bool", "verify_word float", "length_bound_p n", "length_bound_p k",
             "h_n", "ghi_word", "SatInstance count", "SatInstance bool count",
             "SatInstance literal", "SatInstance bool literal", "eval_word float",
-            "eval_word bool", "Identity float", "Identity bool", "Identity str"])
+            "eval_word bool", "Identity float", "Identity bool", "Identity str",
+            "chain_semilattice", "left_zero", "rectangular"])
     def test_refused_with_one_line(self, s10, call, shown):
         with pytest.raises(OutOfRange) as exc:
             call(s10)
@@ -420,3 +427,8 @@ class TestIntegerRule:
         assert ghi_word("G", np.int16(3)) == ghi_word("G", 3)
         assert eval_word(s10, (np.int64(1), 2), [1, 2]) == eval_word(s10, (1, 2), [1, 2])
         assert SatInstance(np.int64(1), (frozenset({np.int64(-1)}),)).num_vars == 1
+        assert chain_semilattice(np.int64(3)) == chain_semilattice(3)
+
+    def test_negative_variable_count(self):
+        with pytest.raises(OutOfRange, match="^variable count -1 is negative$"):
+            SatInstance(-1, ())
