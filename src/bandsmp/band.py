@@ -8,7 +8,7 @@ against printed references line by line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import index
 from typing import Iterable, Optional, Sequence
 
@@ -146,11 +146,17 @@ class Band:
         return acc
 
     def dual(self) -> "Band":
-        """The band on the same carrier with reversed multiplication."""
+        """The band on the same carrier with reversed multiplication, not validated
+        again: L and R swap, and J, its classes and the height are shared."""
         if self._dual is None:
-            transposed = tuple(zip(*self.table))
-            d = Band(transposed, name=f"dual({self.name})" if self.name else None)
-            d._dual = self
+            d = object.__new__(Band)
+            d.order, d.name = self.order, f"dual({self.name})" if self.name else None
+            d.table, d.itable = tuple(zip(*self.table)), self.itable.T.copy()
+            g = self.green
+            d.green = replace(g, leq_l=g.leq_r, eq_l=g.leq_r & g.leq_r.T, leq_r=g.leq_l)
+            for mat in (d.itable, d.green.eq_l):
+                mat.setflags(write=False)
+            d._dual, d._classification = self, None
             self._dual = d
         return self._dual
 

@@ -5,12 +5,12 @@ fallback decision procedure and the verification arbiter for everything
 the polynomial algorithms decide.
 
 The closure BFS is array-backed. Tuples are rows of a small-int numpy
-array (one byte a coordinate for bands of order up to 256, two above), a
-whole level's products with the generators are formed at once, and they
-are deduplicated as fixed-width byte keys by sorting. A stored tuple costs
-about n bytes, plus an int64 origin and an int32 rank. The order in which
-tuples are found, and so every witness word, is that of the plain
-one-tuple-at-a-time BFS.
+array (one byte a coordinate for bands of order up to 256, two above). A
+search builds a table whose row v·n + i holds v·a_1[i] … v·a_k[i], so a
+block of a level's products is one row gather, and deduplicates them as
+fixed-width byte keys by sorting. A stored tuple costs about n bytes, plus
+an int64 origin and an int32 rank. The order in which tuples are found,
+and so every witness word, is that of the one-tuple-at-a-time BFS.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ArityMismatch, CapExceeded, OutOfRange, ParseError, integer, labels,
-                     parsing, read_text)
+from .errors import (ArityMismatch, CapExceeded, OutOfRange, ParseError, as_int, integer,
+                     labels, parsing, read_text)
 
 if TYPE_CHECKING:
     from .band import Band
@@ -147,6 +147,8 @@ def leq_cw(mat: np.ndarray, a, b) -> np.ndarray:
 
 #: bytes of product rows formed in one step; bounds the BFS's scratch memory
 _BLOCK_BYTES = 1 << 17
+#: bytes of the BFS's product table; a larger one is built a slab of coordinates at a time
+_TABLE_BYTES = 1 << 22
 
 
 def _fold(table: np.ndarray, cols, word: Sequence[int]) -> np.ndarray:
@@ -156,6 +158,11 @@ def _fold(table: np.ndarray, cols, word: Sequence[int]) -> np.ndarray:
     for v in word[1:]:
         acc = table[acc, cols[v]]
     return acc
+
+
+def _product_table(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row v·w + i holds v·a_1[i] … v·a_k[i], for the (k, w) generator columns cols."""
+    return table.take(cols.T, axis=1).reshape(len(table) * cols.shape[1], len(cols))
 
 
 class _Closure:
@@ -245,6 +252,8 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     the order of the one-tuple-at-a-time BFS, so every tuple gets the same
     parent, and every word is BFS-shortest and the same from run to run.
     """
+    if (cap := as_int(cap, "cap")) < 0:
+        raise OutOfRange(f"cap {cap} is below 0")
     m, n, k = gens.band.order, gens.n, len(gens)
     table = gens.band.itable.astype(np.min_scalar_type(m - 1))
     target = None
@@ -252,7 +261,7 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
         with suppress(OutOfRange):  # a target outside S^n is never found
             target = gens.row(stop_at).astype(table.dtype)
     gens = gens.rows.astype(table.dtype)
-    if n == 0:  # () is stored as the 1-tuple (0,), which 0·0 = 0 keeps closed
+    if n == 0:  # () is stored as the 1-tuple (0,)
         gens = np.zeros((k, 1), table.dtype)
         target = None if target is None else np.zeros(1, table.dtype)
     width = gens.shape[1]
@@ -262,22 +271,29 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     # the generators: products of an empty tuple numbered -1; they never
     # count against the cap
     level = found.add(gens, np.arange(k), -1, target, max(cap, k))
-    flat = table.ravel()
-    kd = found.key_dtype
+    if n == 0 or found.hit is not None:  # 0·0 = 0 closes (0,); a generator target is found
+        return found
+    kd, size = found.key_dtype, table.itemsize
     gen_keys = gens.view(kd)[:, 0]
-    step = max(1, _BLOCK_BYTES // max(1, k * width * table.itemsize))
+    # the product table, built once, or past its budget one slab of coordinates
+    # at a time for each block, which then holds a budget's worth of products
+    slab = max(1, _TABLE_BYTES // max(1, m * k * size))
+    whole = _product_table(table, gens) if slab >= width else None
+    step = max(1, (_BLOCK_BYTES if whole is not None else _TABLE_BYTES) // max(1, k * width * size))
     start = 0
     while len(level) and found.hit is None:
         following = []
         for c in range(0, len(level), step):
             block = level[c:c + step]
-            # one take per generator: a flat index for the whole block would
-            # take eight bytes per product byte; the indices are in range, and
-            # mode "wrap" lets take write to the strided out without a buffer
+            # one row gather a slab: row v·w + i of its table for coordinate i of
+            # value v, then one transposed copy into (tuple, generator) order
             products = np.empty((len(block), k, width), table.dtype)
-            base = block.astype(np.intp) * m
-            for j in range(k):
-                flat.take(base + gens[j], out=products[:, j, :], mode="wrap")
+            for s in range(0, width, slab):
+                cols = gens[:, s:s + slab]
+                right = _product_table(table, cols) if whole is None else whole
+                at = np.multiply(block[:, s:s + slab], cols.shape[1], dtype=np.intp)
+                at += np.arange(cols.shape[1])
+                products[:, :, s:s + slab] = right.take(at, axis=0).transpose(0, 2, 1)
             # a product equal to its tuple or to its generator is stored already
             keys = products.view(kd)[..., 0]
             where = np.flatnonzero((keys != block.view(kd)) & (keys != gen_keys))

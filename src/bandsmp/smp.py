@@ -296,9 +296,11 @@ def smp_decide_auto(
     R-related), or "closure", the closure search with cap. None picks poly
     when the band passes both quasiidentity scans, closure otherwise.
 
-    force lifts the poly path's scan gate; a forced "no" on a band failing
-    a scan is unknown, as completeness needs the scans.
+    force lifts the scan gate of method "poly", which it needs; a forced
+    "no" on a band failing a scan is unknown, as completeness needs the scans.
     """
+    if force and method != "poly":
+        raise PreconditionViolated(f"force=True needs method 'poly', not {method!r}")
     stats = stats or LoopStats()
     band = inst.band
     if method is None:

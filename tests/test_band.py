@@ -23,7 +23,7 @@ from bandsmp.errors import (
 )
 
 import oracles
-from helpers import band_to_json
+from helpers import band_to_json, product_band
 
 # 1-based labels, matching text I/O conventions
 def b1(*labels):
@@ -154,6 +154,28 @@ class TestDual:
             for b in range(9):
                 assert d.green.leq_l[a, b] == s9.green.leq_r[a, b]
                 assert d.green.leq_j[a, b] == s9.green.leq_j[a, b]
+
+    @pytest.mark.parametrize("band", [*CATALOG_EXAMPLES, "S9 x LZ(2)", "T13a x RZ(3)",
+                                      "S10 x SL-chain(3)", "T17 x S9"])
+    def test_matches_the_validated_dual(self, band):
+        # the dual is built without validation; Band() on the transposed table validates
+        if " x " in band:
+            band = product_band(*map(catalog, band.split(" x ")))
+        else:
+            band = catalog(band)
+        d = band.dual()
+        ref = Band([list(col) for col in zip(*band.table)], name=d.name)
+        assert (d.order, d.name, d.table) == (ref.order, ref.name, ref.table)
+        assert all(type(v) is int for row in d.table for v in row)
+        arrays = [(d.itable, ref.itable)]
+        for f in ("leq_l", "eq_l", "leq_r", "leq_j"):
+            arrays.append((getattr(d.green, f), getattr(ref.green, f)))
+        for got, want in arrays:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        for f in ("j_class_of", "j_classes", "height"):
+            assert getattr(d.green, f) == getattr(ref.green, f)
+        assert d.dual() is band and d == ref
 
 
 class TestAdjoinIdentity:

@@ -180,6 +180,16 @@ class TestClosure:
         with pytest.raises(CapExceeded):
             closure(gens, cap=3)
 
+    @pytest.mark.parametrize("cap", [-1, -10**30, True, False, 1.5, "3", None])
+    def test_bad_cap_refused(self, s10, cap):
+        # -1 and True read as caps of 0 and 1 once; a cap of 0 still stores the generators
+        for call in (lambda: closure(GenSet.of(s10, [(1,)]), cap=cap),
+                     lambda: member_closure_word(GenSet.of(s10, [(1,), (2,)]), (3,), cap)):
+            with pytest.raises(OutOfRange, match="^cap ") as exc:
+                call()
+            assert "\n" not in str(exc.value)
+        assert closure(GenSet.of(s10, [(1,)]), cap=np.int8(0)) == [(1,)]
+
     @pytest.mark.parametrize("name", ["S10", "Rect(2,3)", "T13a"])
     def test_matches_naive_fixed_point(self, name):
         band = catalog(name)
@@ -371,11 +381,15 @@ def random_gens(band, rng, n, k, draw):
     return GenSet.of(band, sorted(members), n=n)
 
 
-@pytest.fixture(params=["one block", "one tuple per block"])
+@pytest.fixture(params=["one block", "one tuple per block", "one coordinate per slab"])
 def block_bytes(request, monkeypatch):
-    # one tuple per block exercises every block boundary and run merge
+    # one tuple per block exercises every block boundary and run merge; a
+    # product-table budget of one byte builds the table one coordinate at a
+    # time for every block, and so also makes every block one tuple
     if request.param == "one tuple per block":
         monkeypatch.setattr(power, "_BLOCK_BYTES", 1)
+    if request.param == "one coordinate per slab":
+        monkeypatch.setattr(power, "_TABLE_BYTES", 1)
 
 
 class TestAgainstTupleBfs:
@@ -428,3 +442,41 @@ class TestAgainstTupleBfs:
         gens = out.instance.gens
         rng = random.Random(f"array-bfs-gadget/{count}")
         assert_same_as_tuple_bfs(gens, targets_for(gens, rng, [out.instance.target]))
+
+
+class TestProductTable:
+    def counted(self, monkeypatch):
+        built = []
+
+        def product_table(table, cols):
+            built.append(cols.shape)
+            return real(table, cols)
+        real = power._product_table
+        monkeypatch.setattr(power, "_product_table", product_table)
+        return built
+
+    def test_none_at_arity_zero(self, s10, monkeypatch):
+        built = self.counted(monkeypatch)
+        monkeypatch.setattr(power, "_TABLE_BYTES", 1)
+        assert closure(GenSet.of(s10, [()], n=0)) == [()]
+        assert closure(GenSet(band=s10, n=0, members=())) == []
+        assert member_closure_word(GenSet.of(s10, [()], n=0), ()) == [1]
+        assert built == []
+
+    def test_one_per_search_within_budget(self, s10, monkeypatch):
+        built = self.counted(monkeypatch)
+        gens = GenSet.of(s10, [(0, 5, 1), (2, 7, 3), (4, 1, 9)])
+        monkeypatch.setattr(power, "_BLOCK_BYTES", 1)
+        assert len(closure(gens)) > 3 * len(gens)
+        assert built == [(3, 3)]
+        built.clear()
+        assert member_closure_word(gens, gens.members[1]) == [2]  # found without a search
+        assert built == []
+
+    def test_slabs_past_budget(self, s10, monkeypatch):
+        # a budget of 10·3·2 bytes holds two of the three coordinates
+        built = self.counted(monkeypatch)
+        gens = GenSet.of(s10, [(0, 5, 1), (2, 7, 3), (4, 1, 9)])
+        monkeypatch.setattr(power, "_TABLE_BYTES", 60)
+        assert closure(gens) == tuple_bfs(s10.table, gens.members, power.DEFAULT_CAP, None)[0]
+        assert built and set(built) == {(3, 2), (3, 1)}

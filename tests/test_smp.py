@@ -671,6 +671,22 @@ class TestDecision:
         with pytest.raises(UnknownName, match="no method 'auto'"):
             smp_decide_auto(inst, method="auto")
 
+    @pytest.mark.parametrize("name", ["S9", "S10"])
+    @pytest.mark.parametrize("method", [None, "closure"])
+    def test_force_needs_the_poly_method(self, name, method):
+        # the CLI refuses --force without --algo poly with exit 64
+        inst = SmpInstance(GenSet.of(catalog(name), [(1,)]), (3,))
+        with pytest.raises(PreconditionViolated, match="force=True needs method 'poly'") as exc:
+            smp_decide_auto(inst, method=method, force=True)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("cap", [-1, -5, True, False, 1.5, "3"])
+    def test_bad_cap_refused_on_the_closure_path(self, s9, cap):
+        inst = SmpInstance(GenSet.of(s9, [(1,), (2,)]), (3,))
+        with pytest.raises(OutOfRange, match="^cap ") as exc:
+            smp_decide_auto(inst, cap=cap)
+        assert "\n" not in str(exc.value)
+
 
 class TestVerifyWord:
     def test_singleton(self, s10):
