@@ -182,13 +182,12 @@ class TestClosure:
 
     @pytest.mark.parametrize("cap", [-1, -10**30, True, False, 1.5, "3", None])
     def test_bad_cap_refused(self, s10, cap):
-        # -1 and True read as caps of 0 and 1 once; a cap of 0 still stores the generators
         for call in (lambda: closure(GenSet.of(s10, [(1,)]), cap=cap),
                      lambda: member_closure_word(GenSet.of(s10, [(1,), (2,)]), (3,), cap)):
             with pytest.raises(OutOfRange, match="^cap ") as exc:
                 call()
             assert "\n" not in str(exc.value)
-        assert closure(GenSet.of(s10, [(1,)]), cap=np.int8(0)) == [(1,)]
+        assert closure(GenSet.of(s10, [(1,)]), cap=np.int8(0)) == [(1,)]  # generators are free
 
     @pytest.mark.parametrize("name", ["S10", "Rect(2,3)", "T13a"])
     def test_matches_naive_fixed_point(self, name):
