@@ -35,12 +35,10 @@ Table = Sequence[Sequence[int]]
 class GreenCache:
     """Precomputed L/R/J preorders, J-partition, and J-quotient height.
 
-    The preorders are read-only (m, m) boolean arrays: leq_j[a, b] is a <=_J b;
-    eq_l is the L-equivalence, leq_l and its transpose.
+    The preorders are read-only (m, m) boolean arrays: leq_j[a, b] is a <=_J b.
     """
 
     leq_l: np.ndarray
-    eq_l: np.ndarray
     leq_r: np.ndarray
     leq_j: np.ndarray
     j_class_of: tuple[int, ...]
@@ -119,12 +117,10 @@ class Band:
         for a in np.argsort(leq_j.sum(0), kind="stable"):
             h[a] = 1 + h[under[a]].max(initial=0)
         height = int(h.max())
-        eq_l = leq_l & leq_l.T
-        for mat in (t, leq_l, eq_l, leq_r, leq_j):
+        for mat in (t, leq_l, leq_r, leq_j):
             mat.setflags(write=False)
         return GreenCache(
             leq_l=leq_l,
-            eq_l=eq_l,
             leq_r=leq_r,
             leq_j=leq_j,
             j_class_of=tuple(names.searchsorted(least).tolist()),
@@ -153,9 +149,8 @@ class Band:
             d.order, d.name = self.order, f"dual({self.name})" if self.name else None
             d.table, d.itable = tuple(zip(*self.table)), self.itable.T.copy()
             g = self.green
-            d.green = replace(g, leq_l=g.leq_r, eq_l=g.leq_r & g.leq_r.T, leq_r=g.leq_l)
-            for mat in (d.itable, d.green.eq_l):
-                mat.setflags(write=False)
+            d.green = replace(g, leq_l=g.leq_r, leq_r=g.leq_l)
+            d.itable.setflags(write=False)
             d._dual, d._classification = self, None
             self._dual = d
         return self._dual

@@ -6,11 +6,12 @@ the polynomial algorithms decide.
 
 The closure BFS is array-backed. Tuples are rows of a small-int numpy
 array (one byte a coordinate for bands of order up to 256, two above). A
-search builds a table whose row v·n + i holds v·a_1[i] … v·a_k[i], so a
-block of a level's products is one row gather, and deduplicates them as
-fixed-width byte keys by sorting. A stored tuple costs about n bytes, plus
-an int64 origin and an int32 rank. The order in which tuples are found,
-and so every witness word, is that of the one-tuple-at-a-time BFS.
+block of a level's products is one row gather from the search's table,
+row v·n + i holding v·a_1[i] … v·a_k[i], or past the table's budget one
+take from the multiplication table. They are deduplicated as fixed-width
+byte keys by sorting. A stored tuple costs about n bytes, plus an int64
+origin and an int32 rank. The order in which tuples are found, and so
+every witness word, is that of the one-tuple-at-a-time BFS.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def leq_cw(mat: np.ndarray, a, b) -> np.ndarray:
 
 #: bytes of product rows formed in one step; bounds the BFS's scratch memory
 _BLOCK_BYTES = 1 << 17
-#: bytes of the BFS's product table; a larger one is built a slab of coordinates at a time
+#: bytes of the BFS's product table; past them the search builds none
 _TABLE_BYTES = 1 << 22
 
 
@@ -160,9 +161,9 @@ def _fold(table: np.ndarray, cols, word: Sequence[int]) -> np.ndarray:
     return acc
 
 
-def _product_table(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Row v·w + i holds v·a_1[i] … v·a_k[i], for the (k, w) generator columns cols."""
-    return table.take(cols.T, axis=1).reshape(len(table) * cols.shape[1], len(cols))
+def _product_table(table: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Row v·w + i holds v·a_1[i] … v·a_k[i], for the (k, w) generator rows gens."""
+    return table.take(gens.T, axis=1).reshape(len(table) * gens.shape[1], len(gens))
 
 
 class _Closure:
@@ -243,6 +244,13 @@ class _Closure:
         return word[::-1]
 
 
+def as_cap(cap) -> int:
+    """A closure cap read by errors.as_int and refused below 0, a one-line OutOfRange."""
+    if (cap := as_int(cap, "cap")) < 0:
+        raise OutOfRange(f"cap {cap} is below 0")
+    return cap
+
+
 def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     """The closure BFS over n-tuples, stopping once stop_at is found.
 
@@ -252,8 +260,7 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     the order of the one-tuple-at-a-time BFS, so every tuple gets the same
     parent, and every word is BFS-shortest and the same from run to run.
     """
-    if (cap := as_int(cap, "cap")) < 0:
-        raise OutOfRange(f"cap {cap} is below 0")
+    cap = as_cap(cap)
     m, n, k = gens.band.order, gens.n, len(gens)
     table = gens.band.itable.astype(np.min_scalar_type(m - 1))
     target = None
@@ -275,25 +282,20 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
         return found
     kd, size = found.key_dtype, table.itemsize
     gen_keys = gens.view(kd)[:, 0]
-    # the product table, built once, or past its budget one slab of coordinates
-    # at a time for each block, which then holds a budget's worth of products
-    slab = max(1, _TABLE_BYTES // max(1, m * k * size))
-    whole = _product_table(table, gens) if slab >= width else None
-    step = max(1, (_BLOCK_BYTES if whole is not None else _TABLE_BYTES) // max(1, k * width * size))
+    # the product table if it fits its budget; past it, blocks read the multiplication table
+    right = _product_table(table, gens) if m * width * k * size <= _TABLE_BYTES else None
+    step = max(1, _BLOCK_BYTES // max(1, k * width * size))
     start = 0
     while len(level) and found.hit is None:
         following = []
         for c in range(0, len(level), step):
             block = level[c:c + step]
-            # one row gather a slab: row v·w + i of its table for coordinate i of
-            # value v, then one transposed copy into (tuple, generator) order
-            products = np.empty((len(block), k, width), table.dtype)
-            for s in range(0, width, slab):
-                cols = gens[:, s:s + slab]
-                right = _product_table(table, cols) if whole is None else whole
-                at = np.multiply(block[:, s:s + slab], cols.shape[1], dtype=np.intp)
-                at += np.arange(cols.shape[1])
-                products[:, :, s:s + slab] = right.take(at, axis=0).transpose(0, 2, 1)
+            if right is None:  # at block·m + a_g, in (tuple, generator, coordinate) order
+                products = table.take(np.multiply(block, m, dtype=np.intp)[:, None] + gens)
+            else:  # row v·w + i for coordinate i of value v, then one transposed copy
+                at = np.multiply(block, width, dtype=np.intp)
+                at += np.arange(width)
+                products = np.ascontiguousarray(right.take(at, axis=0).transpose(0, 2, 1))
             # a product equal to its tuple or to its generator is stored already
             keys = products.view(kd)[..., 0]
             where = np.flatnonzero((keys != block.view(kd)) & (keys != gen_keys))

@@ -33,6 +33,7 @@ from .power import (
     ElementTuple,
     GenSet,
     SmpInstance,
+    as_cap,
     leq_cw,
     member_closure_word,
 )
@@ -233,7 +234,7 @@ def _cp_suffix_core(band: Band, A: np.ndarray, b: np.ndarray,
 
     above_b = None
     iterations = 0
-    while not green.eq_l[x, b].all():
+    while not leq_cw(green.leq_l, x, b):  # x L b, as b x = b
         if above_b is None:  # the first step makes the miss counters
             above_b, above, hits = leq_cw(green.leq_j, b, A), _Misses(A), _Misses(A)
         above_x = above.matches(green.leq_j.take(x, 0))
@@ -293,12 +294,13 @@ def smp_decide_auto(
 ) -> Decision:
     """Decide b in <A> by method: "poly", the suffix solver on the band and on
     its dual (b is a member iff some x in <A> is L-related to b and some y
-    R-related), or "closure", the closure search with cap. None picks poly
-    when the band passes both quasiidentity scans, closure otherwise.
+    R-related), or "closure", the closure search with cap, which every path
+    checks. None picks poly when the band passes both scans, closure otherwise.
 
     force lifts the scan gate of method "poly", which it needs; a forced
     "no" on a band failing a scan is unknown, as completeness needs the scans.
     """
+    cap = as_cap(cap)
     if force and method != "poly":
         raise PreconditionViolated(f"force=True needs method 'poly', not {method!r}")
     stats = stats or LoopStats()

@@ -168,7 +168,7 @@ class TestDual:
         assert (d.order, d.name, d.table) == (ref.order, ref.name, ref.table)
         assert all(type(v) is int for row in d.table for v in row)
         arrays = [(d.itable, ref.itable)]
-        for f in ("leq_l", "eq_l", "leq_r", "leq_j"):
+        for f in ("leq_l", "leq_r", "leq_j"):
             arrays.append((getattr(d.green, f), getattr(ref.green, f)))
         for got, want in arrays:
             assert got.dtype == want.dtype and np.array_equal(got, want)

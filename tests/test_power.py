@@ -382,9 +382,10 @@ def random_gens(band, rng, n, k, draw):
 
 @pytest.fixture(params=["one block", "one tuple per block", "one coordinate per slab"])
 def block_bytes(request, monkeypatch):
-    # one tuple per block exercises every block boundary and run merge; a
-    # product-table budget of one byte builds the table one coordinate at a
-    # time for every block, and so also makes every block one tuple
+    # one tuple per block exercises every block boundary and run merge; the
+    # third parameter sets the product-table budget to one byte, so no table is
+    # built and blocks of the default size take their products from the flat
+    # multiplication table, many tuples at once
     if request.param == "one tuple per block":
         monkeypatch.setattr(power, "_BLOCK_BYTES", 1)
     if request.param == "one coordinate per slab":
@@ -472,10 +473,23 @@ class TestProductTable:
         assert member_closure_word(gens, gens.members[1]) == [2]  # found without a search
         assert built == []
 
-    def test_slabs_past_budget(self, s10, monkeypatch):
-        # a budget of 10·3·2 bytes holds two of the three coordinates
+    def test_none_past_budget(self, s10, monkeypatch):
+        # the table of 10·3·3 one-byte products is one byte past a budget of 89
         built = self.counted(monkeypatch)
         gens = GenSet.of(s10, [(0, 5, 1), (2, 7, 3), (4, 1, 9)])
-        monkeypatch.setattr(power, "_TABLE_BYTES", 60)
-        assert closure(gens) == tuple_bfs(s10.table, gens.members, power.DEFAULT_CAP, None)[0]
-        assert built and set(built) == {(3, 2), (3, 1)}
+        monkeypatch.setattr(power, "_TABLE_BYTES", 89)
+        assert_same_as_tuple_bfs(gens, targets_for(gens, random.Random("flat-lookup")))
+        assert built == []
+        monkeypatch.setattr(power, "_TABLE_BYTES", 90)
+        closure(gens)
+        assert built == [(3, 3)]
+
+    def test_none_for_a_small_closure_past_budget(self, monkeypatch):
+        # 512·600·8 two-byte products are past the 4 MiB budget; the closure is 64 tuples
+        built = self.counted(monkeypatch)
+        band = catalog("Rect(16,32)")
+        rng = random.Random("flat-lookup/Rect(16,32)")
+        gens = random_gens(band, rng, 600, 8, lambda: rng.randrange(band.order))
+        got = closure(gens)
+        assert len(got) == 64 and built == []
+        assert got == tuple_bfs(band.table, gens.members, power.DEFAULT_CAP, None)[0]

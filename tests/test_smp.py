@@ -681,11 +681,13 @@ class TestDecision:
         assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("cap", [-1, -5, True, False, 1.5, "3"])
-    def test_bad_cap_refused_on_the_closure_path(self, s9, cap):
-        inst = SmpInstance(GenSet.of(s9, [(1,), (2,)]), (3,))
-        with pytest.raises(OutOfRange, match="^cap ") as exc:
-            smp_decide_auto(inst, cap=cap)
-        assert "\n" not in str(exc.value)
+    def test_bad_cap_refused_on_the_closure_path(self, s9, s10, cap):
+        # and on the poly path, which never reads it: S10 passes both scans
+        for band, method in [(s9, None), (s9, "closure"), (s10, None), (s10, "poly")]:
+            inst = SmpInstance(GenSet.of(band, [(1,), (2,)]), (3,))
+            with pytest.raises(OutOfRange, match="^cap ") as exc:
+                smp_decide_auto(inst, cap=cap, method=method)
+            assert "\n" not in str(exc.value)
 
 
 class TestVerifyWord:
