@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import index
 from typing import Iterable, Optional, Sequence
 
@@ -29,6 +30,27 @@ from .errors import (
 )
 
 Table = Sequence[Sequence[int]]
+
+
+def refusal(v, m: int) -> Optional[str]:
+    """Why v is not an element of a band of order m, after the noun its caller
+    gives, or None. An element is read by operator.index: 1.9 is refused."""
+    try:
+        v = index(v)
+    except TypeError:
+        return f"{v!r} is not an integer"
+    return None if 0 <= v < m else f"{v + 1} outside 1..{m}"
+
+
+def read_elements(values: Sequence, m: int) -> tuple[Optional[np.ndarray], Optional[int]]:
+    """values read by operator.index into an intp array (None past a value that
+    is not an intp), and the index of the first that refusal refuses, or None."""
+    try:
+        out = np.fromiter(map(index, values), np.intp, len(values))
+    except (OverflowError, TypeError):  # beyond intp, or not an integer
+        return None, next(i for i, v in enumerate(values) if refusal(v, m))
+    bad = (out < 0) | (out >= m)
+    return out, int(bad.argmax()) if bad.any() else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,27 +77,21 @@ class Band:
     """
 
     def __init__(self, table: Table, name: Optional[str] = None):
-        try:
-            rows = [tuple(map(index, row)) for row in table]
-        except TypeError:  # 0.7 is refused, not read as 0
-            a, b, v = next((a, b, v) for a, row in enumerate(table) for b, v in enumerate(row)
-                           if not isinstance(v, (int, np.integer)))
-            raise OutOfRange(f"entry at ({a + 1},{b + 1}) is {v!r}, not an integer") from None
+        rows = list(table)
         m = len(rows)
         if m == 0:
             raise OutOfRange("a band must have at least one element")
-        for a, row in enumerate(rows):
-            if len(row) != m:
-                raise OutOfRange(f"row {a + 1} has {len(row)} entries, expected {m}")
-            for b, v in enumerate(row):
-                if not 0 <= v < m:
-                    raise OutOfRange(
-                        f"entry at ({a + 1},{b + 1}) is {v + 1}, outside 1..{m}"
-                    )
+        a = next((a for a, row in enumerate(rows) if len(row) != m), None)
+        if a is not None:
+            raise OutOfRange(f"row {a + 1} has {len(rows[a])} entries, expected {m}")
+        flat = list(chain.from_iterable(rows))
+        entries, i = read_elements(flat, m)
+        if i is not None:
+            raise OutOfRange(f"entry at ({i // m + 1},{i % m + 1}): {refusal(flat[i], m)}")
         self.order = m
-        self.table = tuple(rows)
-        # the same table as intp for index arithmetic, which then needs no cast per lookup
-        self.itable = np.array(rows, dtype=np.intp)
+        # the table as intp for index arithmetic, which then needs no cast per lookup
+        self.itable = entries.reshape(m, m)
+        self.table = tuple(map(tuple, self.itable.tolist()))
         self.name = name
         self._validate_axioms()
         self.green = self._compute_green()

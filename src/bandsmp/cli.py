@@ -360,7 +360,7 @@ def build_parser() -> _Parser:
                    help="with --algo poly: run it even if the scans fail; "
                         "'no' answers are then reported as unknown")
     p.add_argument("--cap", type=int, default=None,
-                   help="closure cap (default 5e6; env BANDSMP_CAP overrides)")
+                   help="closure cap (default 5e6, or env BANDSMP_CAP)")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for a batch; at most one per file and per CPU")

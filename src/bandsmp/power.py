@@ -19,35 +19,18 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import index
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .band import Band, read_elements, refusal
 from .errors import (ArityMismatch, CapExceeded, OutOfRange, ParseError, as_int, integer,
                      labels, parsing, read_text)
-
-if TYPE_CHECKING:
-    from .band import Band
 
 ElementTuple = tuple[int, ...]
 
 DEFAULT_CAP = 5_000_000
 MAX_ARITY = int(np.iinfo(np.intp).max)
-
-
-def _refusal(t: Sequence, m: int) -> Optional[str]:
-    """Why the first value in t that is not an integer in 0..m-1 is refused,
-    after the noun its caller gives, or None. An int or a numpy integer is
-    an integer; 1.9 is refused, not read as 1."""
-    for v in t:
-        try:
-            v = index(v)
-        except TypeError:
-            return f"{v!r} is not an integer"
-        if not 0 <= v < m:
-            return f"{v + 1} outside 1..{m}"
-    return None
 
 
 @dataclass(frozen=True)
@@ -71,22 +54,19 @@ class GenSet:
         # the first member that fails a check raises; a member is checked for
         # its arity, then its range, then for repeating an earlier member
         k = next((i for i, t in enumerate(members) if len(t) != n), len(members))
-        try:
-            flat = map(index, chain.from_iterable(members[:k]))
-            rows = np.fromiter(flat, np.intp, k * n).reshape(k, n)
-            outside = ((rows < 0) | (rows >= m)).any(1)
-        except (OverflowError, TypeError):  # a coordinate beyond intp or not an integer
-            outside = np.array([_refusal(t, m) is not None for t in members[:k]], bool)
-        r = int(outside.argmax()) if outside.any() else k
+        flat = list(chain.from_iterable(members[:k]))
+        rows, bad = read_elements(flat, m)
+        r = k if bad is None else bad // n
         first: dict[ElementTuple, int] = {}
         d = next((i for i, t in enumerate(members[:r]) if first.setdefault(t, i) != i), r)
         if d < r:
             raise ArityMismatch(f"duplicate generator {members[d]}")
         if r < k:
-            raise OutOfRange(f"coordinate {_refusal(members[r], m)}")
+            raise OutOfRange(f"coordinate {refusal(flat[bad], m)}")
         if k < len(members):
             t = members[k]
             raise ArityMismatch(f"generator {t} has arity {len(t)}, expected {n}")
+        rows = rows.reshape(k, n)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -103,10 +83,9 @@ class GenSet:
         """t checked as members are, for arity and then range, into a read-only intp row."""
         if len(t) != self.n:
             raise ArityMismatch(f"target arity {len(t)} != generator arity {self.n}")
-        why = _refusal(t, self.band.order)
-        if why is not None:
-            raise OutOfRange(f"coordinate {why}")
-        row = np.array(t, np.intp)
+        row, i = read_elements(t, self.band.order)
+        if i is not None:
+            raise OutOfRange(f"coordinate {refusal(t[i], self.band.order)}")
         row.setflags(write=False)
         return row
 

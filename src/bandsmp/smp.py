@@ -79,13 +79,10 @@ class CpInfixInstance:
         return self.gens.band
 
 
-def _require_scans(band: Band, force: bool, both: bool) -> None:
-    """NotTractable unless forced or band passes its lambda scan and, if both, its dual one."""
-    if force:
-        return
-    c = classify(band)
-    if not (c.tractable if both else c.lambda_witness is None):
-        raise NotTractable(f"band fails {'a' if both else 'the'} quasiidentity scan; "
+def _require_scans(band: Band, force: bool) -> None:
+    """NotTractable unless forced or band passes its lambda scan."""
+    if not force and classify(band).lambda_witness is not None:
+        raise NotTractable("band fails the quasiidentity scan; "
                            "pass force=True (CLI: --algo poly --force) for a sound-only run")
 
 
@@ -127,7 +124,7 @@ def cp_infix(
     solution is re-verified before returning, so non-None answers are
     sound unconditionally.
     """
-    _require_scans(inst.band, force, both=False)
+    _require_scans(inst.band, force)
     c, d, e = inst.rows
     A = inst.gens.rows
     return _tuple(_cp_infix_core(inst.band, A, np.ones(len(A), bool), c, d, e,
@@ -211,7 +208,7 @@ def cp_suffix(
     Each refinement step solves at most |A| infix instances over the
     generators lying J-above the current x.
     """
-    _require_scans(gens.band, force, both=False)
+    _require_scans(gens.band, force)
     return _tuple(_cp_suffix_core(gens.band, gens.rows, gens.row(b), stats or LoopStats()))
 
 
@@ -303,22 +300,24 @@ def smp_decide_auto(
     cap = as_cap(cap)
     if force and method != "poly":
         raise PreconditionViolated(f"force=True needs method 'poly', not {method!r}")
+    if method not in (None, "poly", "closure"):
+        raise UnknownName(f"no method {method!r}; expected None, 'poly' or 'closure'")
     stats = stats or LoopStats()
     band = inst.band
+    tractable = None if method == "closure" else classify(band).tractable
     if method is None:
-        method = "poly" if classify(band).tractable else "closure"
+        method = "poly" if tractable else "closure"
     if method == "closure":
         word = member_closure_word(inst.gens, inst.target, cap=cap)
         return Decision("non-member" if word is None else "member", method, stats, word=word)
-    if method != "poly":
-        raise UnknownName(f"no method {method!r}; expected None, 'poly' or 'closure'")
-    _require_scans(band, force, both=True)
+    if not (force or tractable):
+        raise NotTractable("band fails a quasiidentity scan; "
+                           "pass force=True (CLI: --algo poly --force) for a sound-only run")
     A, b = inst.gens.rows, inst.row
     x = _cp_suffix_core(band, A, b, stats)
     y = None if x is None else _cp_suffix_core(band.dual(), A, b, stats)
     if y is None:
-        unknown = force and not classify(band).tractable
-        return Decision("unknown" if unknown else "non-member", method, stats)
+        return Decision("non-member" if tractable else "unknown", method, stats)
     if (band.itable[y, x] != b).any():
         raise AssertionError("x L b and y R b should force b = y x")
     return Decision("member", method, stats, pair=(_tuple(x), _tuple(y)))

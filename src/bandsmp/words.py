@@ -12,15 +12,14 @@ import math
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
-from operator import index
 from typing import Sequence, Union
 
 import numpy as np
 
-from .band import Band
+from .band import Band, read_elements, refusal
 from .errors import (ArityTooLarge, EmptyWord, OutOfRange, ParseError, UnboundVariable,
                      UnsupportedIndex, as_int, parsing)
-from .power import _BLOCK_BYTES, _fold, _refusal
+from .power import _BLOCK_BYTES, _fold
 
 Word = tuple[int, ...]
 
@@ -95,9 +94,10 @@ def h_n(n: int, w: Word) -> Word:
     n = as_int(n, "n")
     if n < 2:
         raise UnsupportedIndex(f"h_n is defined for n >= 2, got {n}")
+    w = tuple(_variables(w)) if w else ()
     if _h_length(n, w) > MAX_WORD_LENGTH:
         raise ArityTooLarge(f"h_n(w) has more than {MAX_WORD_LENGTH} letters")
-    out, stack = [], [(n, tuple(w), False)]
+    out, stack = [], [(n, w, False)]
     while stack:
         entry = stack.pop()
         if not isinstance(entry, tuple):
@@ -190,10 +190,10 @@ def eval_word(band: Band, w: Word, assignment: Sequence[int]) -> int:
     except IndexError:
         k = len(assignment)
         raise UnboundVariable(f"assignment of length {k} does not cover x{max(w)}") from None
-    reason = _refusal(values, band.order)  # -1 would read the last row; 2.5 no row
-    if reason:
-        raise OutOfRange(f"assignment value {reason}")
-    return band.prod(map(index, values))
+    ints, i = read_elements(values, band.order)  # -1 would read the last row; 2.5 no row
+    if i is not None:
+        raise OutOfRange(f"assignment value {refusal(values[i], band.order)}")
+    return band.prod(ints.tolist())
 
 
 def satisfies_identity(

@@ -10,6 +10,7 @@ from bandsmp import (
     GenSet,
     catalog,
     closure,
+    eval_word,
     find_embedding,
     parse_band_text,
 )
@@ -21,6 +22,9 @@ from bandsmp.errors import (
     SizeBoundExceeded,
     UnknownName,
 )
+from bandsmp.quasi import (Witness, forbidden_subband, is_witness, normalize_witness,
+                           require_normalized)
+from bandsmp.reduction import SatInstance, sat_to_smp
 
 import oracles
 from helpers import band_to_json, product_band
@@ -56,7 +60,7 @@ class TestValidation:
 
     def test_non_integer_entry(self):
         # int(0.7) would make this the trivial band
-        with pytest.raises(OutOfRange, match=r"entry at \(1,1\) is 0.7, not an integer"):
+        with pytest.raises(OutOfRange, match=r"entry at \(1,1\): 0.7 is not an integer"):
             Band([[0.7]])
         with pytest.raises(OutOfRange, match=r"entry at \(2,1\)"):
             Band([[0, 1], [np.float64(1.0), 1]])
@@ -65,6 +69,71 @@ class TestValidation:
     def test_ragged_table_rejected(self):
         with pytest.raises(OutOfRange):
             Band([[0, 1], [1]])
+
+
+class TestElementRule:
+    """Band tables, generators, tuples, assignments and witnesses read their
+    element values by one rule, operator.index into 0..m-1, and refuse a
+    value with the same one-line reason."""
+
+    S9_WITNESS = (5, 2, 1, 4, 0)  # normalized; x = 1 is where a value goes
+
+    @staticmethod
+    def entry_points(s9, v):
+        table = [list(row) for row in s9.table]
+        table[1][0] = v  # 1 in S9, so an accepted 1 leaves S9 as it is
+        d, e, _, y, h = TestElementRule.S9_WITNESS
+        return {
+            "Band": lambda: Band(table),
+            "GenSet": lambda: GenSet(band=s9, n=2, members=((0, v), (1, 2))),
+            "GenSet.row": lambda: GenSet.of(s9, [(0, 1)]).row((v, 0)),
+            "eval_word": lambda: eval_word(s9, (1, 2), [0, v]),
+            "is_witness": lambda: is_witness(s9, Witness(d, e, v, y, h)),
+        }
+
+    @pytest.mark.parametrize("value, reason", [
+        (-1, "0 outside 1..9"),
+        (9, "10 outside 1..9"),
+        (2**64, f"{2**64 + 1} outside 1..9"),
+        (1.5, "1.5 is not an integer"),
+        (np.float64(2.0), f"{np.float64(2.0)!r} is not an integer"),
+        ("3", "'3' is not an integer"),
+        (None, "None is not an integer"),
+    ], ids=["-1", "9", "2**64", "1.5", "float64", "str", "None"])
+    def test_every_entry_point_refuses_alike(self, s9, value, reason):
+        prefixes = {"Band": "entry at (2,1): ", "GenSet": "coordinate ",
+                    "GenSet.row": "coordinate ", "eval_word": "assignment value ",
+                    "is_witness": "witness x: "}
+        for name, call in self.entry_points(s9, value).items():
+            with pytest.raises(OutOfRange) as exc:
+                call()
+            assert str(exc.value) == prefixes[name] + reason, name
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.uint8(1), True],
+                             ids=["int64", "uint8", "True"])
+    def test_every_entry_point_accepts_integers(self, s9, value):
+        got = {name: call() for name, call in self.entry_points(s9, value).items()}
+        assert got["Band"] == s9
+        assert got["GenSet"].rows.tolist() == [[0, 1], [1, 2]]
+        assert got["GenSet.row"].tolist() == [1, 0]
+        assert got["eval_word"] == s9.table[0][1]
+        assert got["is_witness"] is True
+
+    @pytest.mark.parametrize("fields, message", [
+        ((99, 0, 0, 0, 0), "witness d: 100 outside 1..9"),
+        ((5, 2, 1, 4, 9), "witness h: 10 outside 1..9"),
+        ((-4, 2, 1, 4, 0), "witness d: -3 outside 1..9"),
+        ((1.5, 2, 1, 4, 0), "witness d: 1.5 is not an integer"),
+        ((5, 2, 1, 4, "0"), "witness h: '0' is not an integer"),
+    ], ids=["d=99", "h=9", "d=-4", "d=1.5", "h='0'"])
+    def test_every_witness_reader_refuses_a_bad_field(self, s9, fields, message):
+        # each was a bare IndexError or TypeError, or -4 read row 6 by a negative index
+        w, sat = Witness(*fields), SatInstance(1, (frozenset({1}),))
+        for read in (is_witness, normalize_witness, require_normalized, forbidden_subband,
+                     lambda band, w: sat_to_smp(sat, band, w)):
+            with pytest.raises(OutOfRange) as exc:
+                read(s9, w)
+            assert str(exc.value) == message
 
 
 class TestGreenStructure:

@@ -270,6 +270,15 @@ class TestSmp:
         )
         assert code in (0, 1)
 
+    def test_cap_flag_beats_env(self, capsys, tmp_path, monkeypatch):
+        # BANDSMP_CAP is read only when --cap is absent
+        path = tmp_path / "inst.txt"
+        path.write_text("1 3\n1\n2\n3\n9\n")
+        monkeypatch.setenv("BANDSMP_CAP", "2")
+        code, out, err = run(capsys, "smp", "--catalog", "S9", "--instance", str(path),
+                             "--algo", "closure", "--cap", "1000")
+        assert (code, out, err) == (1, "non-member\n", "")
+
     def test_batch(self, capsys, tmp_path):
         member = tmp_path / "a.txt"
         member.write_text("1 2\n2\n3\n4\n")
@@ -457,7 +466,7 @@ class TestMalformedInput:
         (["reduce", "--catalog", "S9", "--cnf", "{f}", "-o", "{f}.out"], "p cnf 1 1\nx 0\n",
          "DimacsSyntaxError: {f}: DIMACS syntax error on line 2: bad literal 'x'"),
         (["validate", "--band", "{f}"], "2\n1 2\n2 3\n",
-         "OutOfRange: {f}: entry at (2,2) is 3, outside 1..2"),
+         "OutOfRange: {f}: entry at (2,2): 3 outside 1..2"),
         (["validate", "--band", "{f}"], "3\n1 1 1\n1 2 1\n1 2 3\n",
          "NotAssociative: {f}: not associative at (2,3,2): (2*3)*2 != 2*(3*2)"),
         (["smp", "--catalog", "S10", "--instance", "{f}"], "1 1\n11\n1\n",

@@ -666,6 +666,16 @@ class TestDecision:
         made = smp_decide_auto(inst).stats  # one made for the call, with the same counts
         assert made is not stats and made == stats
 
+    @pytest.mark.parametrize("name, method, force, reads", [
+        ("S9", "closure", False, 0), ("S10", "closure", False, 0), ("S9", None, False, 1),
+        ("S10", None, False, 1), ("S10", "poly", False, 1), ("S9", "poly", True, 1)])
+    def test_scan_gate_read_once(self, monkeypatch, name, method, force, reads):
+        calls = []
+        monkeypatch.setattr(smp, "classify", lambda band: calls.append(band) or classify(band))
+        inst = SmpInstance(GenSet.of(catalog(name), [(1,), (2,)]), (3,))
+        smp_decide_auto(inst, method=method, force=force)
+        assert len(calls) == reads
+
     def test_unknown_method(self, s10):
         inst = SmpInstance(GenSet.of(s10, [(1,), (2,)]), (3,))
         with pytest.raises(UnknownName, match="no method 'auto'"):

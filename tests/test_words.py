@@ -106,6 +106,14 @@ class TestHn:
         with pytest.raises(UnsupportedIndex):
             h_n(1, (1,))
 
+    @pytest.mark.parametrize("v", [0, -1, 1.5, "1"])
+    def test_variables_read_as_eval_word_reads_them(self, v):
+        # h_n(3, (0, 2)) was (0, 0, 2, 2) and h_n(3, (1.5, 2)) was (1.5, 1.5, 2, 2)
+        with pytest.raises(OutOfRange) as exc:
+            h_n(3, (v, 2))
+        assert "\n" not in str(exc.value)
+        assert h_n(3, (np.int64(1), 2)) == (1, 1, 2, 2)
+
     def test_output_is_bounded(self, monkeypatch):
         # unbounded, h_1000(1 2 3) would build 167,165,999 letters
         monkeypatch.setattr(words, "MAX_WORD_LENGTH", 5)
