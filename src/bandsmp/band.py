@@ -96,7 +96,7 @@ class Band:
         self._validate_axioms()
         self.green = self._compute_green()
         self._dual: Optional[Band] = None
-        self._classification = None  # memo slot used by bandsmp.quasi.classify
+        self._lambda_scan = None  # (witness or None,) once bandsmp.quasi scanned the band
 
     # -- construction helpers ------------------------------------------------
 
@@ -158,8 +158,8 @@ class Band:
         return acc
 
     def dual(self) -> "Band":
-        """The band on the same carrier with reversed multiplication, not validated
-        again: L and R swap, and J, its classes and the height are shared."""
+        """The band with reversed multiplication, not validated again: L and R swap, J,
+        its classes and the height are shared; its own lambda scan is this band's reversed one."""
         if self._dual is None:
             d = object.__new__(Band)
             d.order, d.name = self.order, f"dual({self.name})" if self.name else None
@@ -167,7 +167,7 @@ class Band:
             g = self.green
             d.green = replace(g, leq_l=g.leq_r, leq_r=g.leq_l)
             d.itable.setflags(write=False)
-            d._dual, d._classification = self, None
+            d._dual, d._lambda_scan = self, None
             self._dual = d
         return self._dual
 

@@ -48,7 +48,7 @@ class GenSet:
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members, n, m = self.members, self.n, self.band.order
+        members, n, m = self.members, as_int(self.n, "arity"), self.band.order
         if not 0 <= n <= MAX_ARITY:
             raise ArityMismatch(f"arity {n} outside 0..{MAX_ARITY}")
         # the first member that fails a check raises; a member is checked for
@@ -68,6 +68,7 @@ class GenSet:
             raise ArityMismatch(f"generator {t} has arity {len(t)}, expected {n}")
         rows = rows.reshape(k, n)
         rows.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -112,8 +113,10 @@ class SmpInstance:
 def mul_tuple(band: Band, a: ElementTuple, b: ElementTuple) -> ElementTuple:
     if len(a) != len(b):
         raise ArityMismatch(f"arities {len(a)} and {len(b)} differ")
-    t = band.table
-    return tuple(t[x][y] for x, y in zip(a, b))
+    xy, i = read_elements(ab := (*a, *b), band.order)  # both tuples by the element rule
+    if i is not None:
+        raise OutOfRange(f"coordinate {refusal(ab[i], band.order)}")
+    return tuple(band.itable[xy[:len(a)], xy[len(a):]].tolist())
 
 
 def leq_cw(mat: np.ndarray, a, b) -> np.ndarray:

@@ -55,9 +55,14 @@ class Classification:
 
 
 def find_lambda_witness(band: Band) -> Optional[Witness]:
-    """Odometer-least witness quintuple against the quasiidentity, or None.
+    """Odometer-least witness against the quasiidentity, or None; each Band is scanned once."""
+    if band._lambda_scan is None:
+        band._lambda_scan = (_scan(band),)
+    return band._lambda_scan[0]
 
-    The least (d, e, x, y, h), h varying fastest, in O(m^3) time. Over
+
+def _scan(band: Band) -> Optional[Witness]:
+    """The least (d, e, x, y, h), h varying fastest, in O(m^3) time. Over
     blocks of e, the triples (d, e, x) with d <=_J e <=_J x, some h with
     h x = x and h e = e, and d x e != d e are candidates; a block with
     one builds reach[u, j, v], "some y with e_j <=_J y has u y e_j = v",
@@ -102,19 +107,13 @@ def find_lambda_witness(band: Band) -> Optional[Witness]:
 
 
 def classify(band: Band) -> Classification:
-    """Tractable iff both quasiidentity scans pass; memoized per Band.
+    """Tractable iff both quasiidentity scans pass; each Band is scanned once.
 
     The reversed-word scan is the plain scan of the dual band.
     """
-    if band._classification is None:
-        w = find_lambda_witness(band)
-        wd = find_lambda_witness(band.dual())
-        band._classification = Classification(
-            tractable=(w is None and wd is None),
-            lambda_witness=w,
-            lambda_dual_witness=wd,
-        )
-    return band._classification
+    w, wd = find_lambda_witness(band), find_lambda_witness(band.dual())
+    return Classification(tractable=(w is None and wd is None), lambda_witness=w,
+                          lambda_dual_witness=wd)
 
 
 def is_witness(band: Band, w: Witness) -> bool:
@@ -269,13 +268,11 @@ class EmbeddingReport:
 
 
 def normalized_witnesses(band: Band) -> list[tuple[str, Band, Witness]]:
-    """(orientation, S or dual(S), the normalized witness of its scan) for
-    each of "S" and "dual" whose scan in the memoized classify fails."""
-    c = classify(band)
+    """(orientation, S or dual(S), the normalized witness of its own scan) for
+    each of "S" and "dual" whose scan fails."""
     return [(orientation, target, normalize_witness(target, w))
-            for orientation, target, w in (("S", band, c.lambda_witness),
-                                           ("dual", band.dual(), c.lambda_dual_witness))
-            if w is not None]
+            for orientation, target in (("S", band), ("dual", band.dual()))
+            for w in [find_lambda_witness(target)] if w is not None]
 
 
 def embeds_forbidden(band: Band) -> EmbeddingReport:

@@ -37,7 +37,7 @@ from .power import (
     leq_cw,
     member_closure_word,
 )
-from .quasi import classify
+from .quasi import classify, find_lambda_witness
 
 
 @dataclass
@@ -81,7 +81,7 @@ class CpInfixInstance:
 
 def _require_scans(band: Band, force: bool) -> None:
     """NotTractable unless forced or band passes its lambda scan."""
-    if not force and classify(band).lambda_witness is not None:
+    if not force and find_lambda_witness(band) is not None:
         raise NotTractable("band fails the quasiidentity scan; "
                            "pass force=True (CLI: --algo poly --force) for a sound-only run")
 

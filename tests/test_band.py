@@ -12,6 +12,7 @@ from bandsmp import (
     closure,
     eval_word,
     find_embedding,
+    mul_tuple,
     parse_band_text,
 )
 from bandsmp.band import CATALOG_EXAMPLES
@@ -89,6 +90,7 @@ class TestElementRule:
             "GenSet.row": lambda: GenSet.of(s9, [(0, 1)]).row((v, 0)),
             "eval_word": lambda: eval_word(s9, (1, 2), [0, v]),
             "is_witness": lambda: is_witness(s9, Witness(d, e, v, y, h)),
+            "mul_tuple": lambda: mul_tuple(s9, (0, 1), (v, 2)),
         }
 
     @pytest.mark.parametrize("value, reason", [
@@ -103,7 +105,7 @@ class TestElementRule:
     def test_every_entry_point_refuses_alike(self, s9, value, reason):
         prefixes = {"Band": "entry at (2,1): ", "GenSet": "coordinate ",
                     "GenSet.row": "coordinate ", "eval_word": "assignment value ",
-                    "is_witness": "witness x: "}
+                    "is_witness": "witness x: ", "mul_tuple": "coordinate "}
         for name, call in self.entry_points(s9, value).items():
             with pytest.raises(OutOfRange) as exc:
                 call()
@@ -118,6 +120,7 @@ class TestElementRule:
         assert got["GenSet.row"].tolist() == [1, 0]
         assert got["eval_word"] == s9.table[0][1]
         assert got["is_witness"] is True
+        assert got["mul_tuple"] == (s9.table[0][1], s9.table[1][2])
 
     @pytest.mark.parametrize("fields, message", [
         ((99, 0, 0, 0, 0), "witness d: 100 outside 1..9"),

@@ -96,6 +96,17 @@ class TestGenSet:
         with pytest.raises(ArityMismatch, match="cannot infer arity from an empty generator set"):
             GenSet.of(s9, [])
 
+    @pytest.mark.parametrize("n", [True, 1.0, "1"], ids=["True", "1.0", "str"])
+    def test_arity_that_is_not_an_integer_refused(self, s10, n):
+        # each ended in a bare TypeError; True is not read as 1
+        with pytest.raises(OutOfRange) as exc:
+            GenSet(band=s10, n=n, members=((0,),))
+        assert str(exc.value) == f"arity {n!r} is not an integer"
+
+    def test_numpy_arity_stored_as_int(self, s10):
+        gens = GenSet(band=s10, n=np.int64(2), members=((0, 1),))
+        assert type(gens.n) is int and gens.n == 2
+
     def test_target_arity_checked(self, s9):
         with pytest.raises(ArityMismatch):
             SmpInstance(GenSet.of(s9, [(0, 0)]), (0,))

@@ -7,11 +7,15 @@ import pytest
 from bandsmp import (
     CATALOG_EXAMPLES,
     Band,
+    CpInfixInstance,
+    GenSet,
     Witness,
     canonical_forbidden_witness,
     catalog,
     classify,
     construct_forbidden_band,
+    cp_infix,
+    cp_suffix,
     embeds_forbidden,
     find_embedding,
     find_lambda_witness,
@@ -20,7 +24,8 @@ from bandsmp import (
     normalize_witness,
     quasi,
 )
-from bandsmp.errors import NotAWitness, UnknownName
+from bandsmp.errors import NotAWitness, NotTractable, UnknownName
+from bandsmp.quasi import normalized_witnesses
 
 import oracles
 from helpers import product_band, searched_forbidden, subpower_band
@@ -212,8 +217,28 @@ class TestClassify:
         assert rev.lambda_witness is None
         assert rev.lambda_dual_witness == S9_WITNESS
 
-    def test_memoized_per_band(self, s10):
-        assert classify(s10) is classify(s10)
+    def test_each_band_is_scanned_once(self, monkeypatch):
+        # a band and its dual share two scans, one per orientation, whoever reads them
+        calls = []
+        scan = quasi._scan
+        monkeypatch.setattr(quasi, "_scan", lambda band: calls.append(band) or scan(band))
+        b = catalog("S9")
+        classify(b)
+        classify(b.dual())
+        normalized_witnesses(b)
+        embeds_forbidden(b)
+        dual_gens = GenSet.of(b.dual(), [(0,)])
+        assert cp_suffix(dual_gens, (0,)) == (0,)
+        assert cp_infix(CpInfixInstance((0,), (0,), (0,), dual_gens)) == (0,)
+        for gate in (lambda g: cp_suffix(g, (0,)),
+                     lambda g: cp_infix(CpInfixInstance((0,), (0,), (0,), g))):
+            with pytest.raises(NotTractable):
+                gate(GenSet.of(b, [(0,)]))
+        assert calls == [b, b.dual()]
+        calls.clear()
+        chain = catalog("SL-chain(8)")
+        assert cp_suffix(GenSet.of(chain, [(0,)]), (0,)) == (0,)
+        assert calls == [chain]
 
     @pytest.mark.parametrize("name", FAILING)
     def test_failing_catalog_bands(self, name):
