@@ -5,19 +5,21 @@ fallback decision procedure and the verification arbiter for everything
 the polynomial algorithms decide.
 
 The closure BFS is array-backed. Tuples are rows of a small-int numpy
-array (one byte a coordinate for bands of order up to 256, two above). A
-block of a level's products is one row gather from the search's table,
+array (one byte a coordinate for bands of order up to 256, two above). The
+products of a block of stored tuples are one row gather from the search's table,
 row v·n + i holding v·a_1[i] … v·a_k[i], or past the table's budget one
-take from the multiplication table. They are deduplicated as fixed-width
-byte keys by sorting. A stored tuple costs about n bytes, plus an int64
-origin and an int32 rank. The order in which tuples are found, and so
-every witness word, is that of the one-tuple-at-a-time BFS.
+take from the multiplication table. They are deduplicated by sorting 64-bit
+fingerprints of the rows, each match checked byte for byte. A stored tuple
+costs about n bytes, plus an 8-byte fingerprint, an int32 insertion number
+and an int64 origin. The order in which tuples are found, and so every
+witness word, is that of the one-tuple-at-a-time BFS.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
+import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -148,74 +150,100 @@ def _product_table(table: np.ndarray, gens: np.ndarray) -> np.ndarray:
     return table.take(gens.T, axis=1).reshape(len(table) * gens.shape[1], len(gens))
 
 
+@lru_cache(maxsize=64)
+def _coefficients(salt: int, chunks: int) -> np.ndarray:
+    """Salt's 64-bit fingerprint coefficients, by the stdlib's generator (numpy.random is 6 MB)."""
+    return np.frombuffer(random.Random(salt).randbytes(8 * chunks), "<u8")
+
+
 class _Closure:
     """The tuples a closure BFS over k generators has found, numbered in
-    insertion order.
+    insertion order and stored as rows of one array in that order.
 
-    Their rows are kept as fixed-width byte keys in a few sorted runs, each
-    key with its insertion number; a run is merged into the one before it
-    once it reaches half that one's size, so every key is copied O(log N)
-    times. Tuple j was found as the product of tuple p and generator g, and
-    its origin is p·k + g; a generator has p = -1. hit is the number of the
-    target once it is found.
+    Each row's 64-bit fingerprint, with its insertion number, sits in one of a
+    few runs sorted by fingerprint; a run is merged into the one before it
+    once it reaches half that one's size. Every fingerprint match is checked
+    byte for byte: a mismatch is a true collision, and the store moves to the
+    next salt. Tuple j was found as the product of tuple p and generator g, and
+    its origin is p·k + g; a generator has p = -1. hit is the target's number once found.
     """
 
-    def __init__(self, width: int, dtype: np.dtype, k: int):
+    def __init__(self, width: int, dtype: np.dtype, k: int, target: Optional[np.ndarray]):
         self.key_dtype = np.dtype(f"S{width * dtype.itemsize}")
+        self.stored = np.empty((64, width), dtype)
+        self.size, self.hit, self._k, self._salt, self._origin = 0, None, k, -1, []
+        self._target = None if target is None else target.view(self.key_dtype)
+        self._reseed()
+
+    def _reseed(self):
+        """Move to the next salt that tells the stored rows apart, in one run."""
+        self._salt += 1
+        self._coef = _coefficients(self._salt, -(-self.key_dtype.itemsize // 2))
         self.runs: list[tuple[np.ndarray, np.ndarray]] = []
-        self.size = 0
-        self.hit: Optional[int] = None
-        self._dtype, self._width, self._k = dtype, width, k
-        self._origin: list[np.ndarray] = []
+        if self.size:
+            if (got := self._sift(self.stored[:self.size])) is None:
+                return self._reseed()
+            self.runs.append((got[0], got[1].astype(np.int32)))
 
-    def add(self, rows: np.ndarray, where: np.ndarray, start: int,
-            target: Optional[np.bytes_], cap: int) -> np.ndarray:
-        """Store the rows not seen before, first occurrences in row order.
+    def _sift(self, rows: np.ndarray):
+        """The sorted fingerprints of the distinct rows not stored yet, each with its
+        first row, and the rows' keys; None on a collision. A fingerprint dots a row's
+        little-endian 16-bit chunks, an odd width padded by a zero byte, with the
+        coefficients mod 2^64."""
+        keys = rows.view(self.key_dtype)[:, 0]
+        if self.key_dtype.itemsize % 2:
+            rows = np.concatenate((rows, np.zeros((len(rows), 1), rows.dtype)), axis=1)
+        fp = rows.view("<u2") @ self._coef
+        order = fp.argsort()
+        fp, keys_in_order = fp[order], keys[order]
+        head = np.empty(len(fp), bool)
+        head[0] = True
+        np.not_equal(fp[1:], fp[:-1], out=head[1:])
+        at = head.nonzero()[0]
+        # equal keys have equal fingerprints, so an unequal pair among those is a collision
+        if np.count_nonzero(keys_in_order[1:] == keys_in_order[:-1]) < len(fp) - len(at):
+            return None
+        fp, first = fp[at], np.minimum.reduceat(order, at)
+        stored = self.stored.view(self.key_dtype)[:, 0]
+        for run, ins in self.runs:
+            i = run.searchsorted(fp)
+            seen = run.take(i, mode="clip") == fp
+            if np.count_nonzero(seen):
+                if np.count_nonzero(stored[ins[i[seen]]] != keys[first[seen]]):
+                    return None
+                fp, first = fp[~seen], first[~seen]
+        return fp, first, keys
 
-        Row r is the product of tuple start + where[r] // k and generator
-        where[r] % k. Returns the new rows; raises CapExceeded as soon as
-        more than cap tuples would be stored before the target.
-        """
-        new, first = np.unique(rows.view(self.key_dtype).ravel(), return_index=True)
-        for run, _ in self.runs:
-            fresh = np.flatnonzero(run.take(run.searchsorted(new), mode="clip") != new)
-            new, first = new[fresh], first[fresh]
-        if not len(new):
-            return rows[:0]
-        order = first.argsort()
-        rank = np.empty(len(new), np.int32)
-        rank[order] = np.arange(self.size, self.size + len(new), dtype=np.int32)
-        stored = self.size + len(new)
-        if target is not None:
-            i = new.searchsorted(target)
-            if i < len(new) and new[i] == target:
-                self.hit = int(rank[i])
-                stored = self.hit + 1
-        if stored > cap:
-            raise CapExceeded(max(self.size, cap) + 1)
-        self.runs.append((new, rank))
+    def add(self, rows: np.ndarray, where: np.ndarray, start: int, cap: int):
+        """Store the rows not seen before, first occurrences in row order. Row r is
+        the product of tuple start + where[r] // k and generator where[r] % k; raises
+        CapExceeded once more than cap tuples would be stored before the target."""
+        while len(rows) and (new := self._sift(rows)) is None:
+            self._reseed()
+        if not len(rows) or not len(fp := new[0]):
+            return
+        first, keys = new[1:]
+        size, picked = self.size, np.sort(first)
+        new_keys = keys[picked]
+        if self._target is not None and len(hit := (new_keys == self._target).nonzero()[0]):
+            self.hit = size + int(hit[0])
+        if (size + len(fp) if self.hit is None else self.hit + 1) > cap:
+            raise CapExceeded(max(size, cap) + 1)
+        self.runs.append((fp, (picked.searchsorted(first) + size).astype(np.int32)))
         while len(self.runs) > 1 and len(self.runs[-2][0]) <= 2 * len(self.runs[-1][0]):
-            b, rb = self.runs.pop()
-            a, ra = self.runs.pop()
-            at = a.searchsorted(b) + np.arange(len(b))
-            old = np.ones(len(a) + len(b), bool)
-            old[at] = False
-            keys = np.empty(len(old), self.key_dtype)
-            keys[at], keys[old] = b, a
-            ranks = np.empty(len(old), np.int32)
-            ranks[at], ranks[old] = rb, ra
-            self.runs.append((keys, ranks))
-        self.size += len(new)
-        picked = first[order]
+            merged, ins = (np.concatenate(p) for p in zip(self.runs.pop(-2), self.runs.pop()))
+            at = merged.argsort(kind="stable")  # a timsort: one linear merge of the two runs
+            self.runs.append((merged[at], ins[at]))
+        self.size += len(fp)
+        if self.size > len(self.stored):
+            grown = np.empty((2 * self.size, self.stored.shape[1]), self.stored.dtype)
+            grown[:size], self.stored = self.stored[:size], grown
+        self.stored.view(self.key_dtype)[size:self.size, 0] = new_keys
         self._origin.append(start * self._k + where[picked].astype(np.int64))
-        return rows[picked]
 
     def rows(self, n: int) -> np.ndarray:
-        """The stored tuples as an (size, n) array in insertion order."""
-        out = np.empty((self.size, self._width), self._dtype)
-        for keys, rank in self.runs:
-            out[rank] = keys.view(self._dtype).reshape(len(keys), self._width)
-        return out[:, :n]
+        """The stored tuples as a (size, n) view in insertion order."""
+        return self.stored[:self.size, :n]
 
     def word(self) -> list[int]:
         """The 1-based generator word that the BFS built the target from."""
@@ -236,30 +264,25 @@ def as_cap(cap) -> int:
 def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     """The closure BFS over n-tuples, stopping once stop_at is found.
 
-    Level by level: the products of a block of the last level's tuples with
-    every generator are formed at once, in (tuple, generator) order, and
-    their first occurrences that are new are stored in that order. This is
-    the order of the one-tuple-at-a-time BFS, so every tuple gets the same
-    parent, and every word is BFS-shortest and the same from run to run.
+    Block by block, in insertion order: the products of a block of stored
+    tuples with every generator are formed at once, in (tuple, generator)
+    order, and their first occurrences that are new are stored in that order.
+    This is the order of the one-tuple-at-a-time BFS, so every tuple gets the
+    same parent, and every word is BFS-shortest and the same from run to run.
     """
     cap = as_cap(cap)
     m, n, k = gens.band.order, gens.n, len(gens)
     table = gens.band.itable.astype(np.min_scalar_type(m - 1))
-    target = None
-    if stop_at is not None:
-        with suppress(OutOfRange):  # a target outside S^n is never found
-            target = gens.row(stop_at).astype(table.dtype)
+    target = None if stop_at is None else gens.row(stop_at).astype(table.dtype)
     gens = gens.rows.astype(table.dtype)
     if n == 0:  # () is stored as the 1-tuple (0,)
         gens = np.zeros((k, 1), table.dtype)
         target = None if target is None else np.zeros(1, table.dtype)
     width = gens.shape[1]
-    found = _Closure(width, table.dtype, k)
-    if target is not None:
-        target = target.view(found.key_dtype)[0]
+    found = _Closure(width, table.dtype, k, target)
     # the generators: products of an empty tuple numbered -1; they never
     # count against the cap
-    level = found.add(gens, np.arange(k), -1, target, max(cap, k))
+    found.add(gens, np.arange(k), -1, max(cap, k))
     if n == 0 or found.hit is not None:  # 0·0 = 0 closes (0,); a generator target is found
         return found
     kd, size = found.key_dtype, table.itemsize
@@ -267,27 +290,22 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     # the product table if it fits its budget; past it, blocks read the multiplication table
     right = _product_table(table, gens) if m * width * k * size <= _TABLE_BYTES else None
     step = max(1, _BLOCK_BYTES // max(1, k * width * size))
-    start = 0
-    while len(level) and found.hit is None:
-        following = []
-        for c in range(0, len(level), step):
-            block = level[c:c + step]
-            if right is None:  # at block·m + a_g, in (tuple, generator, coordinate) order
-                products = table.take(np.multiply(block, m, dtype=np.intp)[:, None] + gens)
-            else:  # row v·w + i for coordinate i of value v, then one transposed copy
-                at = np.multiply(block, width, dtype=np.intp)
-                at += np.arange(width)
-                products = np.ascontiguousarray(right.take(at, axis=0).transpose(0, 2, 1))
-            # a product equal to its tuple or to its generator is stored already
-            keys = products.view(kd)[..., 0]
-            where = np.flatnonzero((keys != block.view(kd)) & (keys != gen_keys))
-            rows = products.reshape(-1, width)[where]
-            del products, keys
-            following.append(found.add(rows, where, start + c, target, cap))
-            if found.hit is not None:
-                break
-        start += len(level)
-        level = np.concatenate(following)
+    c = 0  # the tuples numbered below c have been multiplied by every generator
+    while c < found.size and found.hit is None:
+        block = found.stored[c:min(c + step, found.size)]
+        if right is None:  # at block·m + a_g, in (tuple, generator, coordinate) order
+            products = table.take(np.multiply(block, m, dtype=np.intp)[:, None] + gens)
+        else:  # row v·w + i for coordinate i of value v, then one transposed copy
+            at = np.multiply(block, width, dtype=np.intp)
+            at += np.arange(width)
+            products = np.ascontiguousarray(right.take(at, axis=0).transpose(0, 2, 1))
+        # a product equal to its tuple or to its generator is stored already
+        keys = products.view(kd)[..., 0]
+        where = np.flatnonzero((keys != block.view(kd)) & (keys != gen_keys))
+        rows = products.reshape(-1, width)[where]
+        del products, keys
+        found.add(rows, where, c, cap)
+        c += len(block)
     return found
 
 

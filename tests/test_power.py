@@ -243,8 +243,12 @@ class TestMembership:
     def test_target_outside_the_band(self, s10):
         gens = GenSet.of(s10, [(1, 0), (2, 9)])
         for b in [(10, 0), (-1, 0), (300, 0)]:
-            assert member_closure_word(gens, b) is None
-            assert member_closure_word(gens, b) is None
+            with pytest.raises(OutOfRange) as want:
+                SmpInstance(gens, b)
+            with pytest.raises(OutOfRange) as got:
+                member_closure_word(gens, b)
+            assert str(got.value) == str(want.value)
+            assert "\n" not in str(got.value) and str(got.value).startswith("coordinate ")
 
     def test_word_witness_verifies(self, s10):
         gens = GenSet.of(s10, [(1,), (2,)])
@@ -504,3 +508,60 @@ class TestProductTable:
         got = closure(gens)
         assert len(got) == 64 and built == []
         assert got == tuple_bfs(band.table, gens.members, power.DEFAULT_CAP, None)[0]
+
+
+def reseed_with(monkeypatch, weak):
+    """Draw the coefficients of salt s as weak(s, chunks) where that is not None;
+    returns the numbers of stored tuples at which the closure store reseeds."""
+    real, reseed, reseeds = power._coefficients, power._Closure._reseed, []
+
+    def coefficients(salt, chunks):
+        coef = weak(salt, chunks)
+        return real(salt, chunks) if coef is None else np.asarray(coef, np.uint64)
+
+    def spy(found):
+        if found._salt >= 0:  # the constructor's draw of salt 0 is no reseed
+            reseeds.append(found.size)
+        reseed(found)
+    monkeypatch.setattr(power, "_coefficients", coefficients)
+    monkeypatch.setattr(power._Closure, "_reseed", spy)
+    return reseeds
+
+
+class TestFingerprintCollisions(TestAgainstTupleBfs):
+    """The array BFS against the referee when salt 0's coefficients are all
+    zero: every row fingerprints to 0, and the first block with two distinct
+    rows must reseed without changing any order, word or cap point."""
+
+    @pytest.fixture(autouse=True)
+    def zero_salt(self, monkeypatch):
+        reseeds = reseed_with(monkeypatch, lambda salt, chunks: [0] * chunks if salt == 0 else None)
+        yield
+        assert reseeds
+
+
+class TestReseedWithStoredRows:
+    def test_collision_with_a_stored_row(self, s10, monkeypatch, block_bytes):
+        # salt 0 reads a row's first 16 bits, its first two coordinates; the
+        # generators differ there, and later tuples repeat them
+        reseeds = reseed_with(monkeypatch, lambda salt, chunks: [1, 0] if salt == 0 else None)
+        gens = GenSet.of(s10, [(0, 5, 1, 7), (2, 7, 3, 3), (4, 1, 9, 0), (1, 1, 6, 2)])
+        assert_same_as_tuple_bfs(gens, targets_for(gens, random.Random("stored collision")))
+        assert min(reseeds) > 0
+
+    def test_late_collision(self, s10, monkeypatch, block_bytes):
+        # salt 0 is orthogonal to the difference of the last tuple found and a
+        # late one whose 16-bit chunks both differ from it, so those two collide
+        # with many tuples stored; salt 1 reads only the first 16 bits, so the
+        # stored rows then collide among themselves and the store reseeds again
+        gens = GenSet.of(s10, [(0, 5, 1, 7), (2, 7, 3, 3), (4, 1, 9, 0), (1, 1, 6, 2)])
+        order = tuple_bfs(s10.table, gens.members, power.DEFAULT_CAP, None)[0]
+
+        def chunks(t):
+            return np.array([t[0] + 256 * t[1], t[2] + 256 * t[3]])
+        x = chunks(order[-1])
+        d0, d1 = next(d for t in order[-2::-1] if (d := x - chunks(t)).all()).tolist()
+        salts = {0: [d1 % 2**64, -d0 % 2**64], 1: [1, 0]}
+        reseeds = reseed_with(monkeypatch, lambda salt, chunks: salts.get(salt))
+        assert_same_as_tuple_bfs(gens, targets_for(gens, random.Random("late collision")))
+        assert max(reseeds) > len(gens) and reseeds.count(max(reseeds)) >= 2
