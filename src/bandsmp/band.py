@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from itertools import chain
 from operator import index
 from typing import Iterable, Optional, Sequence
@@ -69,7 +70,7 @@ class GreenCache:
 
 
 class Band:
-    """An idempotent semigroup on {0, ..., m-1} with table[a][b] = a*b.
+    """An idempotent semigroup on {0, ..., m-1}; a*b is itable[a, b], a read-only intp array.
 
     Construction validates idempotence and associativity and eagerly
     computes the Green caches; instances are immutable afterwards and
@@ -91,7 +92,6 @@ class Band:
         self.order = m
         # the table as intp for index arithmetic, which then needs no cast per lookup
         self.itable = entries.reshape(m, m)
-        self.table = tuple(map(tuple, self.itable.tolist()))
         self.name = name
         self._validate_axioms()
         self.green = self._compute_green()
@@ -146,24 +146,26 @@ class Band:
 
     # -- basic operations ----------------------------------------------------
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """itable as a tuple of tuples of ints, built on first read; the library reads itable."""
+        return tuple(map(tuple, self.itable.tolist()))
+
     def prod(self, elems: Iterable[int]) -> int:
         it = iter(elems)
         try:
-            acc = next(it)
+            first = next(it)
         except StopIteration:
             raise ValueError("product of an empty element sequence") from None
-        t = self.table
-        for x in it:
-            acc = t[acc][x]
-        return acc
+        return reduce(self.itable.item, it, first)
 
     def dual(self) -> "Band":
-        """The band with reversed multiplication, not validated again: L and R swap, J,
-        its classes and the height are shared; its own lambda scan is this band's reversed one."""
+        """The band of itable's transpose, not validated again: L and R swap, J, its
+        classes and the height are shared; its own lambda scan is this band's reversed one."""
         if self._dual is None:
             d = object.__new__(Band)
             d.order, d.name = self.order, f"dual({self.name})" if self.name else None
-            d.table, d.itable = tuple(zip(*self.table)), self.itable.T.copy()
+            d.itable = self.itable.T.copy()
             g = self.green
             d.green = replace(g, leq_l=g.leq_r, leq_r=g.leq_l)
             d.itable.setflags(write=False)
@@ -173,7 +175,7 @@ class Band:
 
     def adjoin_identity(self) -> "Band":
         m = self.order
-        rows = [list(row) + [a] for a, row in enumerate(self.table)]
+        rows = [row + [a] for a, row in enumerate(self.itable.tolist())]
         rows.append(list(range(m + 1)))
         return Band(rows, name=f"{self.name}^1" if self.name else None)
 
@@ -181,17 +183,17 @@ class Band:
 
     def to_text(self) -> str:
         lines = [str(self.order)]
-        for row in self.table:
+        for row in self.itable.tolist():
             lines.append(" ".join(str(v + 1) for v in row))
         return "\n".join(lines) + "\n"
 
     # -- dunder ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Band) and self.table == other.table
+        return isinstance(other, Band) and np.array_equal(self.itable, other.itable)
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        return hash(self.itable.tobytes())
 
     def __repr__(self) -> str:
         label = self.name or "band"
@@ -241,7 +243,7 @@ def find_embedding(small: Band, big: Band) -> Optional[tuple[int, ...]]:
         )
     if small.order > big.order:
         return None
-    st, bt = small.table, big.table
+    st, bt = small.itable.tolist(), big.itable.tolist()
 
     def profile(band: Band) -> tuple[np.ndarray, np.ndarray]:
         """u <= v and v <= u in L, R and J as six bits per pair (u, v), and
@@ -347,7 +349,7 @@ def rectangular(p: int, q: int) -> Band:
     return Band(rows, name=f"Rect({p},{q})")
 
 
-#: the largest order a catalog family builds; its tables are Python lists
+#: the largest order a catalog family builds; the builders' input tables are Python lists
 MAX_CATALOG_ORDER = 2048
 
 _FAMILY_RE = re.compile(r"^(LZ|RZ|SL-chain)\((\d+)\)$")

@@ -314,7 +314,7 @@ def _cmd_catalog(args) -> int:
         payload = json.dumps({
             "name": band.name,
             "order": band.order,
-            "table": [[v + 1 for v in row] for row in band.table],
+            "table": (band.itable + 1).tolist(),
         })
         output = payload + "\n"
     else:

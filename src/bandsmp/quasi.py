@@ -100,10 +100,9 @@ def _scan(band: Band) -> Optional[Witness]:
     if best is None:
         return None
     d, e, x = best
-    tab = band.table
-    y = next(y for y in range(m) if leq_j[e, y] and tab[tab[tab[d][x]][y]][e] == tab[d][e])
-    h = next(h for h in range(m) if tab[h][x] == x and tab[h][e] == e)
-    return Witness(d, e, x, y, h)
+    y = np.flatnonzero(leq_j[e] & (t[t[t[d, x]], e] == t[d, e]))[0]
+    h = np.flatnonzero((t[:, x] == x) & (t[:, e] == e))[0]
+    return Witness(d, e, x, int(y), int(h))
 
 
 def classify(band: Band) -> Classification:
@@ -122,18 +121,18 @@ def is_witness(band: Band, w: Witness) -> bool:
     ints, i = read_elements(w.as_tuple(), band.order)
     if i is not None:
         raise OutOfRange(f"witness {'dexyh'[i]}: {refusal(w.as_tuple()[i], band.order)}")
-    t = band.table
     d, e, x, y, h = ints.tolist()
     mul = band.prod
+    de = mul([d, e])
     premise = (
-        mul([d, x, y, e]) == t[d][e]
-        and t[h][x] == x
-        and t[h][e] == e
+        mul([d, x, y, e]) == de
+        and mul([h, x]) == x
+        and mul([h, e]) == e
         and mul([d, e, d]) == d
         and mul([e, x, e]) == e
         and mul([e, y, e]) == e
     )
-    return premise and mul([d, x, e]) != t[d][e]
+    return premise and mul([d, x, e]) != de
 
 
 def normalize_witness(band: Band, w: Witness) -> Witness:

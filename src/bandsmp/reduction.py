@@ -146,9 +146,7 @@ def sat_to_smp(
     reduced = SatInstance(num_vars=len(used), clauses=clauses)
 
     d, e, x, y, h = witness.as_tuple()
-    t = band.table
-    xe = t[x][e]
-    de = t[d][e]
+    xe, de = band.prod([x, e]), band.prod([d, e])
     n = len(reduced.clauses)
     k = reduced.num_vars
     arity = n + 2 * k

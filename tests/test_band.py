@@ -1,6 +1,9 @@
 """Band validation, Green structure, duals, closures, catalog, embeddings."""
 
+import ast
+import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +11,16 @@ import pytest
 from bandsmp import (
     Band,
     GenSet,
+    SmpInstance,
     catalog,
+    classify,
     closure,
+    embeds_forbidden,
     eval_word,
     find_embedding,
     mul_tuple,
     parse_band_text,
+    smp_decide_auto,
 )
 from bandsmp.band import CATALOG_EXAMPLES
 from bandsmp.errors import (
@@ -24,7 +31,7 @@ from bandsmp.errors import (
     UnknownName,
 )
 from bandsmp.quasi import (Witness, forbidden_subband, is_witness, normalize_witness,
-                           require_normalized)
+                           normalized_witnesses, require_normalized)
 from bandsmp.reduction import SatInstance, sat_to_smp
 
 import oracles
@@ -398,3 +405,61 @@ class TestTextFormat:
     def test_wrong_row_count(self):
         with pytest.raises(OutOfRange):
             parse_band_text("3\n1 1 1\n1 2 3\n")
+
+
+class TestOneTable:
+    """The library reads itable alone; table is built from it on a caller's first read."""
+
+    def test_the_library_reads_no_table_attribute(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "bandsmp"
+        reads = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr == "table"]
+        assert reads == []
+
+    def test_no_library_call_builds_the_table(self):
+        s9, s10 = catalog("S9"), catalog("S10")
+        d = s9.dual()
+        classify(s9)
+        embeds_forbidden(s9)
+        sat = SatInstance(2, (frozenset({1, 2}), frozenset({-1})))
+        entries = normalized_witnesses(s9) + normalized_witnesses(d)
+        assert {orientation for orientation, _, _ in entries} == {"S", "dual"}
+        for _, target, w in entries:
+            assert is_witness(target, w)
+            out = sat_to_smp(sat, target, w)
+            assert smp_decide_auto(out.instance, method="closure").verdict == "member"
+        inst = SmpInstance(GenSet(band=s10, n=2, members=(b1(2, 3), b1(6, 1))), b1(7, 3))
+        assert smp_decide_auto(inst).method == "poly"
+        assert eval_word(s9, [1, 2, 1], [1, 5]) == s9.prod([1, 5, 1])
+        s9.to_text()
+        s9.adjoin_identity()
+        for band in (s9, d, s10):
+            assert "table" not in band.__dict__
+            table = band.table
+            assert table == tuple(map(tuple, band.itable.tolist()))
+            assert all(type(v) is int for row in table for v in row)
+            assert band.table is table
+
+
+class TestEqualityAndHash:
+    def test_s9_read_three_ways(self, s9):
+        bands = [catalog("S9"), Band(np.array(s9.itable.tolist())), parse_band_text(s9.to_text())]
+        for a, b in itertools.combinations(bands, 2):
+            assert a == b and hash(a) == hash(b)
+        assert len(set(bands)) == 1
+
+    def test_s9_is_not_its_dual(self, s9):
+        assert s9 != s9.dual() and not s9 == s9.dual()
+
+    def test_a_semilattice_is_its_dual(self):
+        band = catalog("SL-chain(3)")
+        assert band == band.dual() and hash(band) == hash(band.dual())
+
+    def test_different_orders(self):
+        bands = [Band([[0]]), catalog("SL-chain(2)"), catalog("SL-chain(3)"), catalog("S9")]
+        for a, b in itertools.combinations(bands, 2):
+            assert a != b and b != a
+
+    def test_a_band_is_not_its_table(self, s9):
+        assert s9 != s9.table and s9.table != s9
