@@ -20,6 +20,7 @@ from .errors import (
     NotAssociative,
     NotIdempotent,
     OutOfRange,
+    ParseError,
     SizeBoundExceeded,
     UnknownName,
     as_int,
@@ -209,12 +210,14 @@ def parse_band_text(text: str, name: Optional[str] = None) -> Band:
         if isinstance(obj, dict):
             m, rows = integer(obj["order"]), obj["table"]
         elif not obj:
-            raise OutOfRange("empty band file")
+            raise ParseError("empty band file")
+        elif len(obj[0]) != 1:
+            raise ParseError("band header must be 'm'")
         else:
             (m,), rows = obj[0], obj[1:]
+        if len(rows) != m:
+            raise ParseError(f"band declares order {m} but has {len(rows)} rows")
         rows = [labels(row) for row in rows]
-    if len(rows) != m:
-        raise OutOfRange(f"band declares order {m} but has {len(rows)} rows")
     return Band(rows, name=name)
 
 
@@ -233,9 +236,8 @@ def find_embedding(small: Band, big: Band) -> Optional[tuple[int, ...]]:
     Returns the image tuple (indexed by small's elements) or None. The least
     element not yet mapped gets an image, and the partial map is closed under
     products, so the mapped elements are always the subsemigroup generated by
-    the elements given images so far. An image must have L-, R- and J-classes
-    at least as large as its element's and agree in all three preorders with
-    the images already set. Images are tried in ascending order.
+    the elements given images so far. Every unused image is tried, in
+    ascending order, and only the two multiplication tables are read.
     """
     if small.order > DEFAULT_EMBED_BOUND:
         raise SizeBoundExceeded(
@@ -244,18 +246,6 @@ def find_embedding(small: Band, big: Band) -> Optional[tuple[int, ...]]:
     if small.order > big.order:
         return None
     st, bt = small.itable.tolist(), big.itable.tolist()
-
-    def profile(band: Band) -> tuple[np.ndarray, np.ndarray]:
-        """u <= v and v <= u in L, R and J as six bits per pair (u, v), and
-        the sizes of the L-, R- and J-class of each element."""
-        rels = (band.green.leq_l, band.green.leq_r, band.green.leq_j)
-        bits = rels + tuple(r.T for r in rels)
-        code = sum(r.astype(np.uint8) << i for i, r in enumerate(bits))
-        return code, np.stack([(r & r.T).sum(1) for r in rels])
-
-    (code_s, sizes_s), (code_b, sizes_b) = profile(small), profile(big)
-    # an injective homomorphism maps each L-, R- and J-class into one
-    fits = (sizes_s[:, :, None] <= sizes_b[:, None, :]).all(0)
 
     def close(img: dict[int, int], a: int, c: int) -> Optional[dict[int, int]]:
         """img with a -> c, closed under products, or None on a conflict."""
@@ -282,10 +272,7 @@ def find_embedding(small: Band, big: Band) -> Optional[tuple[int, ...]]:
         a = next((x for x in range(small.order) if x not in img), None)
         if a is None:
             return tuple(img[x] for x in range(small.order))
-        xs, ys = list(img), list(img.values())
-        ok = fits[a] & (code_b[:, ys] == code_s[a, xs]).all(1)
-        ok[ys] = False
-        for c in np.flatnonzero(ok).tolist():
+        for c in sorted(set(range(big.order)).difference(img.values())):
             closed = close(img, a, c)
             found = None if closed is None else search(closed)
             if found is not None:

@@ -123,15 +123,17 @@ def sat_to_smp(
 ) -> ReductionOutput:
     """Emit the hardness instance for a CNF over a normalized witness.
 
-    Defaults to the synthesized 9-element forbidden band with its
-    canonical quintuple. Variables occurring in no clause are dropped
+    band defaults to the synthesized 9-element forbidden band T9, and then
+    witness to its canonical quintuple; a witness given is checked against
+    the band all the same. Variables occurring in no clause are dropped
     first and recorded in variable_map. The generators run u, v, a_1^0 ...
     a_k^0, a_1^1 ... a_k^1 (no v at arity 0): a_j^z is 3 + (j - 1) + z·k.
     """
     if band is None:
         band = construct_forbidden_band("T9")
-        witness = canonical_forbidden_witness()
-    if witness is None:
+        if witness is None:
+            witness = canonical_forbidden_witness()
+    elif witness is None:
         raise NotAWitness("a witness must be supplied along with the band")
     require_normalized(band, witness)
 

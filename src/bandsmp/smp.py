@@ -27,7 +27,6 @@ from .band import Band
 from .errors import (EmptyWord, NotTractable, OutOfRange, PreconditionViolated, UnknownName,
                      as_int)
 from .power import (
-    _BLOCK_BYTES,
     _fold,
     DEFAULT_CAP,
     ElementTuple,
@@ -182,18 +181,11 @@ def _cp_infix_core(band: Band, A: np.ndarray, sub: np.ndarray, c: np.ndarray, d:
 
 def _first_pair(t, dy, A2, A3, s, c, e) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The first (a2, a3) in A2 x A3, in row-major order, with d y a2 a3 s e = c.
-
-    Blocks of A2's rows are multiplied by all of A3 at once, at most
-    _BLOCK_BYTES of products per block.
-    """
-    q, n = A3.shape
-    step = max(1, _BLOCK_BYTES // max(1, q * n * t.itemsize))
-    for lo in range(0, len(A2), step):
-        block = t[t[dy, A2[lo:lo + step]][:, None, :], A3]
-        match = (t[t[block, s], e] == c).all(2)
+    Each row a2 is multiplied by all of A3 at once."""
+    for a2 in A2:
+        match = (t[t[t[t[dy, a2], A3], s], e] == c).all(1)
         if match.any():
-            i, j = divmod(int(match.argmax()), q)
-            return A2[lo + i], A3[j]
+            return a2, A3[match.argmax()]
     return None
 
 

@@ -27,6 +27,7 @@ from bandsmp.errors import (
     NotAssociative,
     NotIdempotent,
     OutOfRange,
+    ParseError,
     SizeBoundExceeded,
     UnknownName,
 )
@@ -77,6 +78,14 @@ class TestValidation:
     def test_ragged_table_rejected(self):
         with pytest.raises(OutOfRange):
             Band([[0, 1], [1]])
+
+    def test_product_of_no_elements_refused(self, s9):
+        with pytest.raises(ValueError, match="empty element sequence"):
+            s9.prod([])
+
+    def test_repr(self, s9):
+        assert repr(s9) == "<Band S9 of order 9>"
+        assert repr(Band([[0]])) == "<Band band of order 1>"
 
 
 class TestElementRule:
@@ -325,6 +334,17 @@ class TestEmbedding:
     def test_semilattice_not_into_left_zero(self):
         assert find_embedding(catalog("SL-chain(2)"), catalog("LZ(2)")) is None
 
+    def test_reads_only_the_multiplication_tables(self):
+        # fresh copies, as the catalog's forbidden bands are cached and shared
+        for small_name, big_name in (("T9", "S9"), ("S9", "T9"), ("T13a", "T17"),
+                                     ("T13a", "T13b"), ("Rect(2,2)", "Rect(3,4)")):
+            small, big = catalog(small_name), catalog(big_name)
+            want = find_embedding(small, big)
+            bare = [Band(band.itable.tolist()) for band in (small, big)]
+            for band in bare:
+                band.green = None
+            assert find_embedding(*bare) == want, (small_name, big_name)
+
     def test_size_bound(self, s9):
         with pytest.raises(SizeBoundExceeded):
             find_embedding(catalog("SL-chain(18)"), s9)
@@ -403,7 +423,7 @@ class TestTextFormat:
         assert band.table == ((0, 0), (0, 1))
 
     def test_wrong_row_count(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ParseError, match="^band declares order 3 but has 2 rows$"):
             parse_band_text("3\n1 1 1\n1 2 3\n")
 
 

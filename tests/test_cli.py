@@ -371,21 +371,27 @@ class TestMalformedInput:
         self.assert_one_line_error(code, err, f"ParseError: {path}: ")
         assert message in err
 
-    @pytest.mark.parametrize("text", [
-        "2\n1 1\n2 x\n",
-        '{"order": 1}',
-        '{"order": 1, "table": [[1]',
-        '{"order": 1, "table": [[1e400]]}',
-        '{"order": 1, "table": [[1.9]]}',
-        '{"order": 1, "table": [[true]]}',
-        '{"order": 1.0, "table": [[1]]}',
+    @pytest.mark.parametrize("text, message", [
+        ("2\n1 1\n2 x\n", "band: line 3: "),
+        ('{"order": 1}', "band: missing key"),
+        ('{"order": 1, "table": [[1]', "band: "),
+        ('{"order": 1, "table": [[1e400]]}', "band: "),
+        ('{"order": 1, "table": [[1.9]]}', "band: "),
+        ('{"order": 1, "table": [[true]]}', "band: "),
+        ('{"order": 1.0, "table": [[1]]}', "band: "),
+        ("", "empty band file"),
+        ("# only a comment\n\n", "empty band file"),
+        ("3\n1 2 3\n", "band declares order 3 but has 1 rows"),
+        ('{"order": 2, "table": [[1, 2]]}', "band declares order 2 but has 1 rows"),
+        ("2 2\n1 2\n2 2\n", "band header must be 'm'"),
     ], ids=["non-integer token", "no table key", "truncated JSON", "1e400",
-            "float label", "bool label", "float order"])
-    def test_band_file(self, capsys, tmp_path, text):
+            "float label", "bool label", "float order", "empty file", "only a comment",
+            "row count", "JSON row count", "two-number header"])
+    def test_band_file(self, capsys, tmp_path, text, message):
         path = tmp_path / "band.txt"
         path.write_text(text)
         code, _, err = run(capsys, "validate", "--band", str(path))
-        self.assert_one_line_error(code, err, f"ParseError: {path}: band")
+        self.assert_one_line_error(code, err, f"ParseError: {path}: {message}")
 
     @pytest.mark.parametrize("name, kind", [
         ("Q", "ParseError"), ("G", "ParseError"), ("", "ParseError"),

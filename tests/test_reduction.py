@@ -112,6 +112,22 @@ class TestParseDimacs:
             parse_dimacs(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text", ["p cnf 2\n", "p dnf 2 1\n1 0\n"],
+                             ids=["no clause count", "dnf"])
+    def test_bad_problem_line(self, text):
+        with pytest.raises(DimacsSyntaxError, match="bad problem line") as exc:
+            parse_dimacs(text)
+        assert exc.value.line == 1
+
+    def test_non_integer_counts(self):
+        with pytest.raises(DimacsSyntaxError, match="non-integer counts") as exc:
+            parse_dimacs("c x\np cnf x 1\n")
+        assert exc.value.line == 2
+
+    def test_last_clause_needs_no_terminating_zero(self):
+        sat = parse_dimacs("p cnf 3 2\n1 -2 0\n3 -1\n")
+        assert clause_set(sat) == [{1, -2}, {3, -1}]
+
     def test_second_problem_line(self):
         # the clause read after it was checked against the second line's count
         with pytest.raises(DimacsSyntaxError, match="second problem line") as exc:
@@ -245,6 +261,12 @@ class TestSatToSmp:
             sat_to_smp(sat, band, w)
         assert normalize_witness(band, w) == S9_WITNESS
         assert sat_to_smp(sat, band, S9_WITNESS).instance.gens.n == 3
+
+    def test_witness_without_band_is_checked_against_t9(self):
+        sat = SatInstance(1, (frozenset({1}),))
+        with pytest.raises(NotAWitness):
+            sat_to_smp(sat, witness=Witness(0, 0, 0, 0, 0))
+        assert sat_to_smp(sat, witness=canonical_forbidden_witness()) == sat_to_smp(sat)
 
     def test_band_without_witness_rejected(self):
         with pytest.raises(NotAWitness, match="witness must be supplied"):

@@ -190,6 +190,10 @@ class TestLengthBound:
                 assert length_bound_p(n, k) == p, (n, k)
                 p = k * (1 + p)
 
+    def test_k_must_be_positive(self):
+        with pytest.raises(UnsupportedIndex, match="^k must be positive, got 0$"):
+            length_bound_p(3, 0)
+
     def test_k_one_at_huge_n(self):
         start = time.perf_counter()
         assert length_bound_p(10**9, 1) == 999_999_999
