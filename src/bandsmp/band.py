@@ -98,6 +98,7 @@ class Band:
         self.green = self._compute_green()
         self._dual: Optional[Band] = None
         self._lambda_scan = None  # (witness or None,) once bandsmp.quasi scanned the band
+        self._codes = None  # (p, table of S^p, digits) once bandsmp.power packed the band
 
     # -- construction helpers ------------------------------------------------
 
@@ -170,7 +171,7 @@ class Band:
             g = self.green
             d.green = replace(g, leq_l=g.leq_r, leq_r=g.leq_l)
             d.itable.setflags(write=False)
-            d._dual, d._lambda_scan = self, None
+            d._dual, d._lambda_scan, d._codes = self, None, None
             self._dual = d
         return self._dual
 
@@ -249,6 +250,12 @@ def find_embedding(small: Band, big: Band) -> Optional[tuple[int, ...]]:
 
     def close(img: dict[int, int], a: int, c: int) -> Optional[dict[int, int]]:
         """img with a -> c, closed under products, or None on a conflict."""
+        # before any copy: a's products with the mapped elements that are mapped
+        # already, or are a, must map to the products of the images
+        for y, iy in img.items():
+            for p, ip in ((st[a][y], bt[c][iy]), (st[y][a], bt[iy][c])):
+                if img.get(p, c if p == a else ip) != ip:
+                    return None
         img = {**img, a: c}
         used = set(img.values())
         todo = [a]

@@ -4,15 +4,18 @@ A tuple is a plain tuple of 0-based element ids. The closure oracle is the
 fallback decision procedure and the verification arbiter for everything
 the polynomial algorithms decide.
 
-The closure BFS is array-backed. Tuples are rows of a small-int numpy
-array (one byte a coordinate for bands of order up to 256, two above). The
-products of a block of stored tuples are one row gather from the search's table,
-row v·n + i holding v·a_1[i] … v·a_k[i], or past the table's budget one
-take from the multiplication table. They are deduplicated by sorting 64-bit
-fingerprints of the rows, each match checked byte for byte. A stored tuple
-costs about n bytes, plus an 8-byte fingerprint, an int32 insertion number
-and an int64 origin. The order in which tuples are found, and so every
-witness word, is that of the one-tuple-at-a-time BFS.
+The closure BFS is array-backed and runs over S^p: p coordinates make one
+code c = Σ v_r·m^r, p as large as the m^p codes fit one byte (two-byte
+codes with p = 1 past order 256). A tuple is a row of codes padded with
+zero coordinates to whole 8-byte words, compared as 64-bit words. The
+products of a block of stored tuples are one row gather from the search's
+table, row c·w + j holding c·a_1[j] … c·a_k[j], or past the table's budget
+one take from the band's table of S^p. They are deduplicated by sorting
+64-bit fingerprints of the rows, each match checked word for word. A
+stored tuple costs 8·⌈⌈n/p⌉·s/8⌉ bytes for codes of s bytes, plus an
+8-byte fingerprint, an int32 insertion number and an int64 origin. The
+order in which tuples are found, and so every witness word, is that of
+the one-tuple-at-a-time BFS.
 """
 
 from __future__ import annotations
@@ -145,8 +148,33 @@ def _fold(table: np.ndarray, cols, word: Sequence[int]) -> np.ndarray:
     return acc
 
 
+def _codes(band: Band) -> tuple[int, np.ndarray, np.ndarray]:
+    """p, the (C, C) table of S^p on the codes c = Σ v_r·m^r (C = m^p), and each
+    code's p coordinates as a (C, p) intp array; computed once per band. p is the
+    most coordinates whose codes fit in a byte (8 at most), 1 past 16 elements,
+    and past 256 elements the codes are uint16."""
+    if band._codes is None:
+        m, p = band.order, 1
+        while p < 8 and m ** (p + 1) <= 256:
+            p += 1
+        digits = np.arange(m ** p)[:, None] // m ** np.arange(p) % m
+        table = band.itable if p == 1 else band.itable[digits[:, None], digits] @ m ** np.arange(p)
+        band._codes = (p, table.astype(np.min_scalar_type(m ** p - 1)), digits)
+    return band._codes
+
+
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether rows of uint64 words differ, one bool per row; a and b broadcast."""
+    if a.shape[-1] > 8:  # one reduction beats a long loop; along a short axis it is slow
+        return (a != b).any(-1)
+    out = a[..., 0] != b[..., 0]
+    for w in range(1, a.shape[-1]):
+        out |= a[..., w] != b[..., w]
+    return out
+
+
 def _product_table(table: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """Row v·w + i holds v·a_1[i] … v·a_k[i], for the (k, w) generator rows gens."""
+    """Row c·w + j holds c·a_1[j] … c·a_k[j], for the (k, w) generator codes gens."""
     return table.take(gens.T, axis=1).reshape(len(table) * gens.shape[1], len(gens))
 
 
@@ -158,27 +186,28 @@ def _coefficients(salt: int, chunks: int) -> np.ndarray:
 
 class _Closure:
     """The tuples a closure BFS over k generators has found, numbered in
-    insertion order and stored as rows of one array in that order.
+    insertion order and stored as rows of uint64 words in one array in that order.
 
     Each row's 64-bit fingerprint, with its insertion number, sits in one of a
     few runs sorted by fingerprint; a run is merged into the one before it
-    once it reaches half that one's size. Every fingerprint match is checked
-    byte for byte: a mismatch is a true collision, and the store moves to the
-    next salt. Tuple j was found as the product of tuple p and generator g, and
-    its origin is p·k + g; a generator has p = -1. hit is the target's number once found.
+    once it reaches half that one's size. A fingerprint dots the row's
+    little-endian 16-bit chunks that hold codes, not the zero padding, with the
+    salt's coefficients mod 2^64. Every fingerprint match is checked word for word: a
+    mismatch is a true collision, and the store moves to the next salt. Tuple j
+    was found as the product of tuple p and generator g, and its origin is
+    p·k + g; a generator has p = -1. hit is the target's number once found.
     """
 
-    def __init__(self, width: int, dtype: np.dtype, k: int, target: Optional[np.ndarray]):
-        self.key_dtype = np.dtype(f"S{width * dtype.itemsize}")
-        self.stored = np.empty((64, width), dtype)
+    def __init__(self, words: int, chunks: int, k: int, target: Optional[np.ndarray]):
+        self.stored = np.empty((64, words), np.uint64)
         self.size, self.hit, self._k, self._salt, self._origin = 0, None, k, -1, []
-        self._target = None if target is None else target.view(self.key_dtype)
+        self._chunks, self._target = chunks, target
         self._reseed()
 
     def _reseed(self):
         """Move to the next salt that tells the stored rows apart, in one run."""
         self._salt += 1
-        self._coef = _coefficients(self._salt, -(-self.key_dtype.itemsize // 2))
+        self._coef = _coefficients(self._salt, self._chunks)
         self.runs: list[tuple[np.ndarray, np.ndarray]] = []
         if self.size:
             if (got := self._sift(self.stored[:self.size])) is None:
@@ -187,32 +216,29 @@ class _Closure:
 
     def _sift(self, rows: np.ndarray):
         """The sorted fingerprints of the distinct rows not stored yet, each with its
-        first row, and the rows' keys; None on a collision. A fingerprint dots a row's
-        little-endian 16-bit chunks, an odd width padded by a zero byte, with the
-        coefficients mod 2^64."""
-        keys = rows.view(self.key_dtype)[:, 0]
-        if self.key_dtype.itemsize % 2:
-            rows = np.concatenate((rows, np.zeros((len(rows), 1), rows.dtype)), axis=1)
-        fp = rows.view("<u2") @ self._coef
+        first row; None on a collision."""
+        fp = rows.view("<u2")[:, :self._chunks] @ self._coef
         order = fp.argsort()
-        fp, keys_in_order = fp[order], keys[order]
+        fp = fp[order]
         head = np.empty(len(fp), bool)
         head[0] = True
         np.not_equal(fp[1:], fp[:-1], out=head[1:])
-        at = head.nonzero()[0]
-        # equal keys have equal fingerprints, so an unequal pair among those is a collision
-        if np.count_nonzero(keys_in_order[1:] == keys_in_order[:-1]) < len(fp) - len(at):
-            return None
-        fp, first = fp[at], np.minimum.reduceat(order, at)
-        stored = self.stored.view(self.key_dtype)[:, 0]
-        for run, ins in self.runs:
+        if not head.all():
+            # equal rows have equal fingerprints, so an unequal pair among those is a collision
+            twin = (~head).nonzero()[0]
+            if _differ(rows[order[twin]], rows[order[twin - 1]]).any():
+                return None
+            at = head.nonzero()[0]
+            fp, order = fp[at], np.minimum.reduceat(order, at)
+        first = order
+        for run, ins in reversed(self.runs):  # newest first: most repeats are of recent tuples
             i = run.searchsorted(fp)
             seen = run.take(i, mode="clip") == fp
             if np.count_nonzero(seen):
-                if np.count_nonzero(stored[ins[i[seen]]] != keys[first[seen]]):
+                if _differ(self.stored[ins[i[seen]]], rows[first[seen]]).any():
                     return None
                 fp, first = fp[~seen], first[~seen]
-        return fp, first, keys
+        return fp, first
 
     def add(self, rows: np.ndarray, where: np.ndarray, start: int, cap: int):
         """Store the rows not seen before, first occurrences in row order. Row r is
@@ -222,14 +248,13 @@ class _Closure:
             self._reseed()
         if not len(rows) or not len(fp := new[0]):
             return
-        first, keys = new[1:]
-        size, picked = self.size, np.sort(first)
-        new_keys = keys[picked]
-        if self._target is not None and len(hit := (new_keys == self._target).nonzero()[0]):
+        size, picked = self.size, np.sort(new[1])
+        rows = rows[picked]
+        if self._target is not None and len(hit := (~_differ(rows, self._target)).nonzero()[0]):
             self.hit = size + int(hit[0])
         if (size + len(fp) if self.hit is None else self.hit + 1) > cap:
             raise CapExceeded(max(size, cap) + 1)
-        self.runs.append((fp, (picked.searchsorted(first) + size).astype(np.int32)))
+        self.runs.append((fp, (picked.searchsorted(new[1]) + size).astype(np.int32)))
         while len(self.runs) > 1 and len(self.runs[-2][0]) <= 2 * len(self.runs[-1][0]):
             merged, ins = (np.concatenate(p) for p in zip(self.runs.pop(-2), self.runs.pop()))
             at = merged.argsort(kind="stable")  # a timsort: one linear merge of the two runs
@@ -238,12 +263,8 @@ class _Closure:
         if self.size > len(self.stored):
             grown = np.empty((2 * self.size, self.stored.shape[1]), self.stored.dtype)
             grown[:size], self.stored = self.stored[:size], grown
-        self.stored.view(self.key_dtype)[size:self.size, 0] = new_keys
+        self.stored[size:self.size] = rows
         self._origin.append(start * self._k + where[picked].astype(np.int64))
-
-    def rows(self, n: int) -> np.ndarray:
-        """The stored tuples as a (size, n) view in insertion order."""
-        return self.stored[:self.size, :n]
 
     def word(self) -> list[int]:
         """The 1-based generator word that the BFS built the target from."""
@@ -262,48 +283,54 @@ def as_cap(cap) -> int:
 
 
 def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
-    """The closure BFS over n-tuples, stopping once stop_at is found.
+    """The closure BFS over n-tuples, run over S^p, stopping once stop_at is found.
 
-    Block by block, in insertion order: the products of a block of stored
-    tuples with every generator are formed at once, in (tuple, generator)
-    order, and their first occurrences that are new are stored in that order.
-    This is the order of the one-tuple-at-a-time BFS, so every tuple gets the
-    same parent, and every word is BFS-shortest and the same from run to run.
+    A tuple is a row of codes, p coordinates each (see _codes), padded with
+    zero coordinates to whole 8-byte words; 0·0 = 0 keeps the padding zero, and
+    () is one word of zeros. Block by block, in insertion order: the products
+    of a block of stored tuples with every generator are formed at once, in
+    (tuple, generator) order, and their first occurrences that are new are
+    stored in that order. This is the order of the one-tuple-at-a-time BFS, so
+    every tuple gets the same parent, and every word is BFS-shortest and the
+    same from run to run.
     """
     cap = as_cap(cap)
-    m, n, k = gens.band.order, gens.n, len(gens)
-    table = gens.band.itable.astype(np.min_scalar_type(m - 1))
-    target = None if stop_at is None else gens.row(stop_at).astype(table.dtype)
-    gens = gens.rows.astype(table.dtype)
-    if n == 0:  # () is stored as the 1-tuple (0,)
-        gens = np.zeros((k, 1), table.dtype)
-        target = None if target is None else np.zeros(1, table.dtype)
-    width = gens.shape[1]
-    found = _Closure(width, table.dtype, k, target)
+    n, k, m = gens.n, len(gens), gens.band.order
+    p, table, _ = _codes(gens.band)
+    n_codes, size = len(table), table.itemsize
+    cols = -(-n // p)  # the codes of a row that hold coordinates
+    width = max(1, -(-cols * size // 8)) * 8 // size  # and the padding, to whole words
+    padded = np.zeros((k + 1, width * p), np.intp)  # the generators, then the target
+    padded[:k, :n] = gens.rows
+    if stop_at is not None:
+        padded[k, :n] = gens.row(stop_at)
+    packed = np.dot(padded.reshape(k + 1, width, p), m ** np.arange(p)).astype(table.dtype)
+    gens, words = packed[:k, :cols], packed.view(np.uint64)
+    found = _Closure(words.shape[1], -(-cols * size // 2), k, None if stop_at is None else words[k])
     # the generators: products of an empty tuple numbered -1; they never
     # count against the cap
-    found.add(gens, np.arange(k), -1, max(cap, k))
-    if n == 0 or found.hit is not None:  # 0·0 = 0 closes (0,); a generator target is found
+    found.add(words[:k], np.arange(k), -1, max(cap, k))
+    if found.hit is not None or not n * k:  # a generator target is found, or no product is new
         return found
-    kd, size = found.key_dtype, table.itemsize
-    gen_keys = gens.view(kd)[:, 0]
-    # the product table if it fits its budget; past it, blocks read the multiplication table
-    right = _product_table(table, gens) if m * width * k * size <= _TABLE_BYTES else None
-    step = max(1, _BLOCK_BYTES // max(1, k * width * size))
+    # the product table if it fits its budget; past it, blocks read the S^p table
+    right = _product_table(table, gens) if n_codes * cols * k * size <= _TABLE_BYTES else None
+    step = max(1, _BLOCK_BYTES // (k * width * size))
     c = 0  # the tuples numbered below c have been multiplied by every generator
     while c < found.size and found.hit is None:
-        block = found.stored[c:min(c + step, found.size)]
-        if right is None:  # at block·m + a_g, in (tuple, generator, coordinate) order
-            products = table.take(np.multiply(block, m, dtype=np.intp)[:, None] + gens)
-        else:  # row v·w + i for coordinate i of value v, then one transposed copy
-            at = np.multiply(block, width, dtype=np.intp)
-            at += np.arange(width)
-            products = np.ascontiguousarray(right.take(at, axis=0).transpose(0, 2, 1))
+        stored = found.stored[c:min(c + step, found.size)]
+        block = stored.view(table.dtype)[:, :cols]
+        products = np.zeros((len(block), k, width), table.dtype)  # the padding stays zero
+        if right is None:  # at block·C + a_g, in (tuple, generator, code) order
+            products[..., :cols] = table.take(block.astype(np.intp)[:, None] * n_codes + gens)
+        else:  # row c·cols + j for code j of value c, transposed
+            at = np.multiply(block, cols, dtype=np.intp)
+            at += np.arange(cols)
+            products[..., :cols] = right.take(at, axis=0).transpose(0, 2, 1)
+        products = products.view(np.uint64)
         # a product equal to its tuple or to its generator is stored already
-        keys = products.view(kd)[..., 0]
-        where = np.flatnonzero((keys != block.view(kd)) & (keys != gen_keys))
-        rows = products.reshape(-1, width)[where]
-        del products, keys
+        where = np.flatnonzero(_differ(products, stored[:, None]) & _differ(products, words[:k]))
+        rows = products.reshape(-1, products.shape[-1])[where]
+        del products
         found.add(rows, where, c, cap)
         c += len(block)
     return found
@@ -311,10 +338,13 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
 
 def closure(gens: GenSet, cap: int = DEFAULT_CAP) -> list[ElementTuple]:
     """Full <A> in BFS insertion order; CapExceeded if it grows past cap."""
-    rows = _bfs(gens, cap, stop_at=None).rows(gens.n)
+    found = _bfs(gens, cap, stop_at=None)
+    p, table, digits = _codes(gens.band)
+    rows = found.stored[:found.size].view(table.dtype)
     out: list[ElementTuple] = []
-    for c in range(0, len(rows), 256):  # no list of lists for the whole closure
-        out.extend(map(tuple, rows[c:c + 256].tolist()))
+    for c in range(0, len(rows), 256):  # no list of lists, or intp copy, of the whole closure
+        chunk = digits[rows[c:c + 256]].reshape(-1, p * rows.shape[1])
+        out.extend(map(tuple, chunk[:, :gens.n].tolist()))
     return out
 
 

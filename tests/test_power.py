@@ -479,25 +479,27 @@ class TestProductTable:
         assert built == []
 
     def test_one_per_search_within_budget(self, s10, monkeypatch):
+        # three coordinates of S10 are two codes of S10^2, the second code half padding
         built = self.counted(monkeypatch)
         gens = GenSet.of(s10, [(0, 5, 1), (2, 7, 3), (4, 1, 9)])
         monkeypatch.setattr(power, "_BLOCK_BYTES", 1)
         assert len(closure(gens)) > 3 * len(gens)
-        assert built == [(3, 3)]
+        assert built == [(3, 2)]
         built.clear()
         assert member_closure_word(gens, gens.members[1]) == [2]  # found without a search
         assert built == []
 
     def test_none_past_budget(self, s10, monkeypatch):
-        # the table of 10·3·3 one-byte products is one byte past a budget of 89
+        # the table of 100·2·3 one-byte products (100 codes, 2 of them a row, 3
+        # generators) is one byte past a budget of 599
         built = self.counted(monkeypatch)
         gens = GenSet.of(s10, [(0, 5, 1), (2, 7, 3), (4, 1, 9)])
-        monkeypatch.setattr(power, "_TABLE_BYTES", 89)
+        monkeypatch.setattr(power, "_TABLE_BYTES", 599)
         assert_same_as_tuple_bfs(gens, targets_for(gens, random.Random("flat-lookup")))
         assert built == []
-        monkeypatch.setattr(power, "_TABLE_BYTES", 90)
+        monkeypatch.setattr(power, "_TABLE_BYTES", 600)
         closure(gens)
-        assert built == [(3, 3)]
+        assert built == [(3, 2)]
 
     def test_none_for_a_small_closure_past_budget(self, monkeypatch):
         # 512·600·8 two-byte products are past the 4 MiB budget; the closure is 64 tuples
@@ -540,12 +542,24 @@ class TestFingerprintCollisions(TestAgainstTupleBfs):
         assert reseeds
 
 
+def s10_chunks(t):
+    """The 16-bit chunks that a fingerprint dots for an 8-tuple over S10: the
+    codes t[2i] + 10·t[2i+1] of S10^2, two to a chunk, the first in the low byte."""
+    codes = [t[i] + 10 * t[i + 1] for i in range(0, 8, 2)]
+    return np.array([codes[0] + 256 * codes[1], codes[2] + 256 * codes[3]])
+
+
+#: four generators of arity 8 over S10 (192 tuples), two 16-bit chunks a row
+S10_EIGHT = [(0, 5, 1, 7, 2, 7, 3, 3), (2, 7, 3, 3, 4, 1, 9, 0),
+             (4, 1, 9, 0, 1, 1, 6, 2), (1, 1, 6, 2, 0, 5, 1, 7)]
+
+
 class TestReseedWithStoredRows:
     def test_collision_with_a_stored_row(self, s10, monkeypatch, block_bytes):
-        # salt 0 reads a row's first 16 bits, its first two coordinates; the
+        # salt 0 reads a row's first 16 bits, its first four coordinates; the
         # generators differ there, and later tuples repeat them
         reseeds = reseed_with(monkeypatch, lambda salt, chunks: [1, 0] if salt == 0 else None)
-        gens = GenSet.of(s10, [(0, 5, 1, 7), (2, 7, 3, 3), (4, 1, 9, 0), (1, 1, 6, 2)])
+        gens = GenSet.of(s10, S10_EIGHT)
         assert_same_as_tuple_bfs(gens, targets_for(gens, random.Random("stored collision")))
         assert min(reseeds) > 0
 
@@ -554,14 +568,75 @@ class TestReseedWithStoredRows:
         # late one whose 16-bit chunks both differ from it, so those two collide
         # with many tuples stored; salt 1 reads only the first 16 bits, so the
         # stored rows then collide among themselves and the store reseeds again
-        gens = GenSet.of(s10, [(0, 5, 1, 7), (2, 7, 3, 3), (4, 1, 9, 0), (1, 1, 6, 2)])
+        gens = GenSet.of(s10, S10_EIGHT)
         order = tuple_bfs(s10.table, gens.members, power.DEFAULT_CAP, None)[0]
-
-        def chunks(t):
-            return np.array([t[0] + 256 * t[1], t[2] + 256 * t[3]])
-        x = chunks(order[-1])
-        d0, d1 = next(d for t in order[-2::-1] if (d := x - chunks(t)).all()).tolist()
+        x = s10_chunks(order[-1])
+        d0, d1 = next(d for t in order[-2::-1] if (d := x - s10_chunks(t)).all()).tolist()
         salts = {0: [d1 % 2**64, -d0 % 2**64], 1: [1, 0]}
         reseeds = reseed_with(monkeypatch, lambda salt, chunks: salts.get(salt))
         assert_same_as_tuple_bfs(gens, targets_for(gens, random.Random("late collision")))
         assert max(reseeds) > len(gens) and reseeds.count(max(reseeds)) >= 2
+
+
+#: (band, coordinates a code holds, bytes a code takes) at each order where either changes
+PACKINGS = [("SL-chain(2)", 8, 1), ("SL-chain(3)", 5, 1), ("Rect(2,2)", 4, 1),
+            ("Rect(4,4)", 2, 1), ("SL-chain(17)", 1, 1), ("Rect(16,16)", 1, 1),
+            ("SL-chain(257)", 1, 2)]
+
+
+class TestPackedRows:
+    """The closure BFS over S^p against the referee at the edges of the packing."""
+
+    @pytest.mark.parametrize("name, p, size", PACKINGS)
+    def test_codes_per_byte(self, name, p, size):
+        band = catalog(name)
+        got, table, digits = power._codes(band)
+        assert (got, table.itemsize, table.shape) == (p, size, (band.order ** p,) * 2)
+        assert power._codes(band)[1] is table  # once per band
+        # code c holds the coordinates of its base-m digits, and multiplies coordinatewise
+        rng = random.Random(f"codes/{name}")
+        for _ in range(20):
+            c, d = rng.randrange(len(table)), rng.randrange(len(table))
+            assert digits[c].tolist() == [c // band.order ** r % band.order for r in range(p)]
+            assert digits[table[c, d]].tolist() == band.itable[digits[c], digits[d]].tolist()
+
+    @pytest.mark.parametrize("name, p, size", PACKINGS)
+    def test_arities_at_the_edges(self, name, p, size, block_bytes):
+        # arity 0 is one word of padding; p - 1, p and p + 1 fill a code short,
+        # exactly and past; the last fills one whole word of codes and one more
+        band = catalog(name)
+        rng = random.Random(f"packed/{name}")
+        for n in sorted({0, 1, max(p - 1, 1), p, p + 1, 8 // size * p + 1}):
+            for k in (0, 1, 3):
+                if k == 0:
+                    gens = GenSet(band=band, n=n, members=())
+                    targets = [(0,) * n, tuple(rng.randrange(band.order) for _ in range(n))]
+                else:
+                    gens = random_gens(band, rng, n, k, lambda: rng.randrange(band.order))
+                    targets = targets_for(gens, rng, [(band.order - 1,) * n])
+                assert_same_as_tuple_bfs(gens, targets)
+
+    @pytest.mark.parametrize("zero_salt", [False, True])
+    @pytest.mark.parametrize("name, n", [("S9", 20), ("Rect(16,32)", 40)])
+    def test_rows_that_differ_in_their_last_word(self, name, n, zero_salt, monkeypatch,
+                                                 block_bytes):
+        # the generators share their first n - 4 coordinates, and x·x = x keeps
+        # them in every product: the rows of S9 (two words) or of Rect(16,32)
+        # (ten words) differ only in their last word. With salt 0 all zero, every
+        # fingerprint is 0 and only the word compare tells the rows apart
+        if zero_salt:
+            reseed_with(monkeypatch, lambda salt, chunks: [0] * chunks if salt == 0 else None)
+        band = catalog(name)
+        rng = random.Random(f"last word/{name}")
+        head = tuple(rng.randrange(band.order) for _ in range(n - 4))
+        members = {head + tuple(rng.randrange(band.order) for _ in range(4)) for _ in range(4)}
+        gens = GenSet.of(band, sorted(members))
+        assert len(closure(gens)) > len(gens)
+        assert_same_as_tuple_bfs(gens, targets_for(gens, rng, [head + (0,) * 4]))
+
+    def test_row_width(self, s9):
+        # 22 coordinates of S9 are 11 codes of S9^2, stored in two 8-byte words
+        gens = GenSet.of(s9, [tuple(range(9)) * 2 + (0, 1, 2, 3), (8,) * 22])
+        found = power._bfs(gens, power.DEFAULT_CAP, None)
+        assert found.stored.dtype == np.uint64 and found.stored.shape[1] * 8 == 16
+        assert closure(gens) == tuple_bfs(s9.table, gens.members, power.DEFAULT_CAP, None)[0]
