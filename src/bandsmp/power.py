@@ -150,9 +150,9 @@ def _fold(table: np.ndarray, cols, word: Sequence[int]) -> np.ndarray:
 
 def _codes(band: Band) -> tuple[int, np.ndarray, np.ndarray]:
     """p, the (C, C) table of S^p on the codes c = Σ v_r·m^r (C = m^p), and each
-    code's p coordinates as a (C, p) intp array; computed once per band. p is the
-    most coordinates whose codes fit in a byte (8 at most), 1 past 16 elements,
-    and past 256 elements the codes are uint16."""
+    code's p coordinates as a (C, p) intp array, both read-only; made once per band.
+    p is the most coordinates whose codes fit a byte (8 at most), 1 past 16
+    elements, and past 256 elements the codes are uint16."""
     if band._codes is None:
         m, p = band.order, 1
         while p < 8 and m ** (p + 1) <= 256:
@@ -160,13 +160,13 @@ def _codes(band: Band) -> tuple[int, np.ndarray, np.ndarray]:
         digits = np.arange(m ** p)[:, None] // m ** np.arange(p) % m
         table = band.itable if p == 1 else band.itable[digits[:, None], digits] @ m ** np.arange(p)
         band._codes = (p, table.astype(np.min_scalar_type(m ** p - 1)), digits)
+        for a in band._codes[1:]:
+            a.setflags(write=False)
     return band._codes
 
 
 def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether rows of uint64 words differ, one bool per row; a and b broadcast."""
-    if a.shape[-1] > 8:  # one reduction beats a long loop; along a short axis it is slow
-        return (a != b).any(-1)
     out = a[..., 0] != b[..., 0]
     for w in range(1, a.shape[-1]):
         out |= a[..., w] != b[..., w]

@@ -593,6 +593,7 @@ class TestPackedRows:
         got, table, digits = power._codes(band)
         assert (got, table.itemsize, table.shape) == (p, size, (band.order ** p,) * 2)
         assert power._codes(band)[1] is table  # once per band
+        assert not table.flags.writeable and not digits.flags.writeable
         # code c holds the coordinates of its base-m digits, and multiplies coordinatewise
         rng = random.Random(f"codes/{name}")
         for _ in range(20):
