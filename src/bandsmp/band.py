@@ -24,8 +24,8 @@ from .errors import (
     SizeBoundExceeded,
     UnknownName,
     as_int,
+    int_table,
     integer,
-    labels,
     parse_file,
     parsing,
     read_text,
@@ -44,14 +44,21 @@ def refusal(v, m: int) -> Optional[str]:
     return None if 0 <= v < m else f"{v + 1} outside 1..{m}"
 
 
-def read_elements(values: Sequence, m: int) -> tuple[Optional[np.ndarray], Optional[int]]:
-    """values read by operator.index into an intp array (None past a value that
-    is not an intp), and the index of the first that refusal refuses, or None."""
-    try:
-        out = np.fromiter(map(index, values), np.intp, len(values))
-    except (OverflowError, TypeError):  # beyond intp, or not an integer
-        return None, next(i for i, v in enumerate(values) if refusal(v, m))
-    bad = (out < 0) | (out >= m)
+def read_elements(values, m: int) -> tuple[Optional[np.ndarray], Optional[int]]:
+    """values read by operator.index into a flat intp array (None past a value that
+    is not an intp), and the index of the first that refusal refuses, or None.
+    An intp array is copied, not read value by value."""
+    if isinstance(values, np.ndarray) and values.dtype == np.intp:
+        out = values.flatten()
+    elif 0 < len(values) <= 64 and set(map(type, values)) == {int} and (
+            0 <= min(values) and max(values) < m):  # a short run of plain ints, read by Python
+        return np.array(values, np.intp), None
+    else:
+        try:
+            out = np.fromiter(map(index, values), np.intp, len(values))
+        except (OverflowError, TypeError):  # beyond intp, or not an integer
+            return None, next(i for i, v in enumerate(values) if refusal(v, m))
+    bad = out.view(np.uintp) >= m  # a negative value is a large unsigned one
     return out, int(bad.argmax()) if bad.any() else None
 
 
@@ -79,14 +86,16 @@ class Band:
     """
 
     def __init__(self, table: Table, name: Optional[str] = None):
-        rows = list(table)
+        """table: m rows of m elements, or an (m, m) array; an intp one is copied."""
+        array = isinstance(table, np.ndarray) and table.ndim == 2
+        rows = table if array else list(table)
         m = len(rows)
         if m == 0:
             raise OutOfRange("a band must have at least one element")
         a = next((a for a, row in enumerate(rows) if len(row) != m), None)
         if a is not None:
             raise OutOfRange(f"row {a + 1} has {len(rows[a])} entries, expected {m}")
-        flat = list(chain.from_iterable(rows))
+        flat = table.reshape(-1) if array else list(chain.from_iterable(rows))
         entries, i = read_elements(flat, m)
         if i is not None:
             raise OutOfRange(f"entry at ({i // m + 1},{i % m + 1}): {refusal(flat[i], m)}")
@@ -210,16 +219,17 @@ def parse_band_text(text: str, name: Optional[str] = None) -> Band:
         obj = read_text(text)
         if isinstance(obj, dict):
             m, rows = integer(obj["order"]), obj["table"]
-        elif not obj:
+            count = len(rows)
+        elif not len(lengths := obj[1]):
             raise ParseError("empty band file")
-        elif len(obj[0]) != 1:
+        elif lengths[0] != 1:
             raise ParseError("band header must be 'm'")
         else:
-            (m,), rows = obj[0], obj[1:]
-        if len(rows) != m:
-            raise ParseError(f"band declares order {m} but has {len(rows)} rows")
-        rows = [labels(row) for row in rows]
-    return Band(rows, name=name)
+            m, count = obj[0].item(0), len(lengths) - 1
+        if count != m:
+            raise ParseError(f"band declares order {m} but has {count} rows")
+        table = int_table(rows if isinstance(obj, dict) else (obj[0][1:], lengths[1:]), m)
+    return Band(table, name=name)
 
 
 def load_band(path: str) -> Band:
@@ -317,10 +327,6 @@ _S10_ROWS = """
 """
 
 
-def _literal(rows: str) -> list[list[int]]:
-    return [[int(v) - 1 for v in line.split()] for line in rows.strip().splitlines()]
-
-
 def left_zero(m: int) -> Band:
     m = as_int(m, "order")
     return Band([[a] * m for a in range(m)], name=f"LZ({m})")
@@ -362,9 +368,9 @@ def catalog(name: str) -> Band:
     """Return a named band: the printed 9/10-element tables, the four
     synthesized forbidden bands, or a parameterized family member."""
     if name == "S9":
-        return Band(_literal(_S9_ROWS), name="S9")
+        return parse_band_text("9" + _S9_ROWS, name="S9")
     if name == "S10":
-        return Band(_literal(_S10_ROWS), name="S10")
+        return parse_band_text("10" + _S10_ROWS, name="S10")
     if name in ("T9", "T13a", "T13b", "T17"):
         from . import quasi
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import band as band_mod
 from . import power, quasi, reduction, smp, words
-from .errors import BandSmpError, labels, parse_file, parsing
+from .errors import BandSmpError, parse_file, parsing
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -251,7 +251,7 @@ def _cmd_words(args) -> int:
         band = _resolve_band(args)
         w = words.word_from_text(args.word)
         with parsing("--assign"):
-            assign = labels([int(v) for v in args.assign.split()])
+            assign = [int(v) - 1 for v in args.assign.split()]
         print(words.eval_word(band, w, assign) + 1)
     elif action == "identity":
         band = _resolve_band(args)

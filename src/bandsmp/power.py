@@ -21,6 +21,7 @@ the one-tuple-at-a-time BFS.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -29,8 +30,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .band import Band, read_elements, refusal
-from .errors import (ArityMismatch, CapExceeded, OutOfRange, ParseError, as_int, integer,
-                     labels, parsing, read_text)
+from .errors import (ArityMismatch, CapExceeded, OutOfRange, ParseError, as_int, int_table,
+                     integer, parsing, read_text)
 
 ElementTuple = tuple[int, ...]
 
@@ -44,7 +45,8 @@ class GenSet:
 
     The members are validated once, into rows: a read-only (k, n) intp array
     with one row per member, which the closure search and the polynomial
-    solvers read.
+    solvers read. members may be given as a 2-D array, kept as a tuple of int
+    tuples; an intp array is copied into rows, not read value by value.
     """
 
     band: Band
@@ -53,27 +55,29 @@ class GenSet:
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members, n, m = self.members, as_int(self.n, "arity"), self.band.order
+        given, n, m = self.members, as_int(self.n, "arity"), self.band.order
         if not 0 <= n <= MAX_ARITY:
             raise ArityMismatch(f"arity {n} outside 0..{MAX_ARITY}")
+        array = isinstance(given, np.ndarray) and given.ndim == 2
+        members = tuple(map(tuple, given.tolist())) if array else given
         # the first member that fails a check raises; a member is checked for
         # its arity, then its range, then for repeating an earlier member
         k = next((i for i, t in enumerate(members) if len(t) != n), len(members))
-        flat = list(chain.from_iterable(members[:k]))
+        flat = given[:k].reshape(-1) if array else list(chain.from_iterable(members[:k]))
         rows, bad = read_elements(flat, m)
         r = k if bad is None else bad // n
         first: dict[ElementTuple, int] = {}
         d = next((i for i, t in enumerate(members[:r]) if first.setdefault(t, i) != i), r)
         if d < r:
-            raise ArityMismatch(f"duplicate generator {members[d]}")
+            raise ArityMismatch(f"generator {d + 1} repeats generator {first[members[d]] + 1}")
         if r < k:
             raise OutOfRange(f"coordinate {refusal(flat[bad], m)}")
         if k < len(members):
-            t = members[k]
-            raise ArityMismatch(f"generator {t} has arity {len(t)}, expected {n}")
+            raise ArityMismatch(f"generator {k + 1} has arity {len(members[k])}, expected {n}")
         rows = rows.reshape(k, n)
         rows.setflags(write=False)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -101,7 +105,8 @@ class GenSet:
 
 @dataclass(frozen=True)
 class SmpInstance:
-    """A subpower membership instance: generators A, target b in S^n, b's row."""
+    """A subpower membership instance: generators A, target b in S^n (kept as a
+    tuple of ints), b's row."""
 
     gens: GenSet
     target: ElementTuple
@@ -109,6 +114,7 @@ class SmpInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "row", self.gens.row(self.target))
+        object.__setattr__(self, "target", tuple(self.row.tolist()))
 
     @property
     def band(self) -> Band:
@@ -118,6 +124,9 @@ class SmpInstance:
 def mul_tuple(band: Band, a: ElementTuple, b: ElementTuple) -> ElementTuple:
     if len(a) != len(b):
         raise ArityMismatch(f"arities {len(a)} and {len(b)} differ")
+    with suppress(IndexError, OverflowError, TypeError, ValueError):  # item() wraps a negative int
+        if min(chain(a, b), default=0) >= 0:
+            return tuple(map(band.itable.item, a, b))
     xy, i = read_elements(ab := (*a, *b), band.order)  # both tuples by the element rule
     if i is not None:
         raise OutOfRange(f"coordinate {refusal(ab[i], band.order)}")
@@ -364,22 +373,22 @@ def parse_instance(text: str, band: Band) -> SmpInstance:
         obj = read_text(text)
         if isinstance(obj, dict):
             n, rows = integer(obj["n"]), [*obj["generators"], obj["target"]]
-        elif not obj:
+        elif not len(lengths := obj[1]):
             raise ParseError("empty instance file")
-        elif len(obj[0]) != 2:
+        elif lengths[0] != 2:
             raise ParseError("instance header must be 'n k'")
         else:
-            (n, k), rows = obj[0], obj[1:]
-            if n == 0 and not rows and k <= 1:
+            (n, k), lengths = obj[0][:2].tolist(), lengths[1:]
+            if n == 0 and not len(lengths) and k <= 1:
                 # each tuple is (), a blank line that read_text drops; k >= 2 would repeat it
-                rows = [[]] * (k + 1)
-            if k < 0 or len(rows) != k + 1:
+                lengths = np.zeros(k + 1, np.intp)
+            if k < 0 or len(lengths) != k + 1:
                 raise ParseError(
-                    f"instance declares {k} generators but file has {max(len(rows) - 1, 0)}")
+                    f"instance declares {k} generators but file has {max(len(lengths) - 1, 0)}")
         if not 0 <= n <= MAX_ARITY:
             raise ParseError(f"instance arity {n} outside 0..{MAX_ARITY}")
-        rows = [labels(row) for row in rows]
-        return SmpInstance(GenSet(band=band, n=n, members=tuple(rows[:-1])), rows[-1])
+        rows = int_table(rows if isinstance(obj, dict) else (obj[0][2:], lengths), n)
+        return SmpInstance(GenSet(band=band, n=n, members=rows[:-1]), rows[-1])
 
 
 def format_instance(inst: SmpInstance) -> str:

@@ -36,7 +36,7 @@ from .power import (
     leq_cw,
     member_closure_word,
 )
-from .quasi import classify, find_lambda_witness
+from .quasi import find_lambda_witness
 
 
 @dataclass
@@ -296,7 +296,8 @@ def smp_decide_auto(
         raise UnknownName(f"no method {method!r}; expected None, 'poly' or 'closure'")
     stats = stats or LoopStats()
     band = inst.band
-    tractable = None if method == "closure" else classify(band).tractable
+    if method != "closure":  # the band's two scans, each run once and kept on its Band
+        tractable = find_lambda_witness(band) is None and find_lambda_witness(band.dual()) is None
     if method is None:
         method = "poly" if tractable else "closure"
     if method == "closure":

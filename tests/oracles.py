@@ -8,6 +8,7 @@ characterizations the library uses, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import json
 from functools import reduce
 
 
@@ -161,3 +162,34 @@ def naive_sat(num_vars, clauses):
         if all(any(values[abs(l) - 1] == (l > 0) for l in c) for c in clauses):
             return True
     return False
+
+
+def read_rows(text):
+    """A band or instance file by the per-line rule: the JSON object of a text
+    that starts with '{', else, for each line of splitlines() whose first
+    split() token does not start with '#', the int() of every token. A bad
+    token is a ValueError naming its 1-based line."""
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
+    rows = []
+    for i, line in enumerate(text.splitlines(), 1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            try:
+                rows.append([int(t) for t in tokens])
+            except ValueError as exc:
+                raise ValueError(f"line {i}: {exc}") from None
+    return rows
+
+
+def json_int_rows(rows):
+    """The rows of a JSON file as lists of ints, row by row; the first row that
+    is not iterable, or value that is not an int (a bool is not), is a TypeError."""
+    out = []
+    for row in rows:
+        values = list(row)
+        for v in values:
+            if type(v) is not int:
+                raise TypeError(f"{v!r} is not an integer")
+        out.append(values)
+    return out

@@ -146,18 +146,18 @@ class TestGenSet:
         """The checks are vectorized; the loop they replace is the referee:
         members in order, each checked for arity, range, then repetition."""
         def referee(members, n):
-            seen = set()
-            for t in members:
+            seen = {}
+            for i, t in enumerate(members, 1):
                 if len(t) != n:
-                    return ArityMismatch, f"generator {t} has arity {len(t)}, expected {n}"
+                    return ArityMismatch, f"generator {i} has arity {len(t)}, expected {n}"
                 for v in t:
                     if not isinstance(v, (int, np.integer)):
                         return OutOfRange, f"coordinate {v!r} is not an integer"
                     if not 0 <= v < 9:
                         return OutOfRange, f"coordinate {v + 1} outside 1..9"
                 if t in seen:
-                    return ArityMismatch, f"duplicate generator {t}"
-                seen.add(t)
+                    return ArityMismatch, f"generator {i} repeats generator {seen[t]}"
+                seen[t] = i
             return None
 
         values = [0, 3, 8, 9, -1, 2**63, 2**64 + 1, -(2**63) - 1, 1.5, np.float64(2.0)]

@@ -667,11 +667,14 @@ class TestDecision:
         ("S9", "closure", False, 0), ("S10", "closure", False, 0), ("S9", None, False, 1),
         ("S10", None, False, 1), ("S10", "poly", False, 1), ("S9", "poly", True, 1)])
     def test_scan_gate_read_once(self, monkeypatch, name, method, force, reads):
+        # the gate reads the band's scan slot, then its dual's if the band's passes
         calls = []
-        monkeypatch.setattr(smp, "classify", lambda band: calls.append(band) or classify(band))
-        inst = SmpInstance(GenSet.of(catalog(name), [(1,), (2,)]), (3,))
-        smp_decide_auto(inst, method=method, force=force)
-        assert len(calls) == reads
+        scan = smp.find_lambda_witness
+        monkeypatch.setattr(smp, "find_lambda_witness", lambda band: calls.append(band) or scan(band))
+        band = catalog(name)
+        smp_decide_auto(SmpInstance(GenSet.of(band, [(1,), (2,)]), (3,)), method=method, force=force)
+        slots = [band] if scan(band) is not None else [band, band.dual()]
+        assert [id(b) for b in calls] == [id(b) for b in slots[:len(slots) * reads]]
 
     def test_unknown_method(self, s10):
         inst = SmpInstance(GenSet.of(s10, [(1,), (2,)]), (3,))
