@@ -93,7 +93,7 @@ def read_text(text: str):
         end = raw.find(b"\n", at + _CHUNK) + 1 or len(raw)
         b = np.frombuffer(raw, np.uint8, end - at + 1, at - 1)
         line, at = _read_lines(b, line, values, lengths) - 1, end
-    return tuple(p[0] if len(p) == 1 else np.concatenate(p) for p in (values, lengths))
+    return np.concatenate(values), np.concatenate(lengths)
 
 
 def _read_lines(b: np.ndarray, line: int, values: list, lengths: list) -> int:
@@ -130,10 +130,10 @@ def _read_lines(b: np.ndarray, line: int, values: list, lengths: list) -> int:
 
 
 def int_table(rows, n: int):
-    """The rows of a file less 1: read_text's (values, lengths), or a JSON file's
-    rows, each value an int as integer() reads it. A (len(lengths), n) array if
-    each row has n values, else int tuples, of which the caller names the first
-    that fails."""
+    """A file's rows, each value less 1: a (len(lengths), n) array if every row
+    has n values, else int tuples, of which the caller names the first that
+    fails. rows is read_text's (values, lengths), or a JSON file's rows, whose
+    values must be ints as integer() reads them."""
     if not isinstance(rows, tuple):
         values, _ = read_text(" ".join(str(integer(v)) for v in chain.from_iterable(rows)))
         rows = values, np.array([len(row) for row in rows], np.intp)

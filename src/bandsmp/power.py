@@ -125,7 +125,7 @@ def mul_tuple(band: Band, a: ElementTuple, b: ElementTuple) -> ElementTuple:
     if len(a) != len(b):
         raise ArityMismatch(f"arities {len(a)} and {len(b)} differ")
     with suppress(IndexError, OverflowError, TypeError, ValueError):  # item() wraps a negative int
-        if min(chain(a, b), default=0) >= 0:
+        if not a or min(a) >= 0 <= min(b):
             return tuple(map(band.itable.item, a, b))
     xy, i = read_elements(ab := (*a, *b), band.order)  # both tuples by the element rule
     if i is not None:

@@ -215,6 +215,13 @@ def referee_band(text):
     return Band([[v - 1 for v in row] for row in rows])
 
 
+def outcome_band(parse, text):
+    try:
+        return parse(text).itable.tolist()
+    except BandSmpError as exc:
+        return type(exc).__name__, str(exc)
+
+
 def test_parse_band_text_matches_the_referee():
     rng = random.Random(13)
     texts = [b.to_text() for b in map(catalog, ("S9", "LZ(2)", "SL-chain(3)", "Rect(2,2)"))]
@@ -234,13 +241,6 @@ def test_parse_band_text_matches_the_referee():
         assert got == want, repr(text)
         kinds.add(want[0] if isinstance(want, tuple) else "band")
     assert kinds >= {"band", "ParseError", "OutOfRange", "NotAssociative"}
-
-
-def outcome_band(parse, text):
-    try:
-        return parse(text).itable.tolist()
-    except BandSmpError as exc:
-        return type(exc).__name__, str(exc)
 
 
 def test_staircase_at_arity_1000_is_the_per_element_build():
