@@ -381,7 +381,7 @@ def parse_instance(text: str, band: Band) -> SmpInstance:
             (n, k), lengths = obj[0][:2].tolist(), lengths[1:]
             if n == 0 and not len(lengths) and k <= 1:
                 # each tuple is (), a blank line that read_text drops; k >= 2 would repeat it
-                lengths = np.zeros(k + 1, np.intp)
+                lengths = np.array([0] * (k + 1), np.intp)
             if k < 0 or len(lengths) != k + 1:
                 raise ParseError(
                     f"instance declares {k} generators but file has {max(len(lengths) - 1, 0)}")

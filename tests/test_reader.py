@@ -151,7 +151,10 @@ def referee_instance(text, band):
         raise ParseError("instance header must be 'n k'")
     (n, k), rows = rows[0], rows[1:]
     if n == 0 and not rows and k <= 1:
-        rows = [[]] * (k + 1)
+        try:
+            rows = [[]] * (k + 1)
+        except OverflowError as exc:  # k + 1 below the least index
+            raise ParseError(f"instance: {exc}") from None
     if k < 0 or len(rows) != k + 1:
         raise ParseError(f"instance declares {k} generators but file has "
                          f"{max(len(rows) - 1, 0)}")
@@ -173,7 +176,8 @@ def decided(parse, text, band):
 def random_instance_text(rng):
     n, k = rng.randint(0, 3), rng.randint(0, 4)
     header = rng.choice([f"{n} {k}"] * 8 + [f"{n}", f"{n} {k} 1", f"{n} -1", f"{2**70} {k}",
-                                           f"-{n + 1} {k}", f"+{n} 00{k}"])
+                                           f"-{n + 1} {k}", f"+{n} 00{k}", "0 -2",
+                                           f"0 -{2**63 + 1}", f"{n} -{2**70}", f"0 {2**70}"])
     labels = [str(v) for v in range(1, 11)] * 4 + ["0", "11", "-1", str(2**64), "١", "+2"]
     rows = []
     for _ in range(k + rng.choice([1] * 6 + [0, 2])):
