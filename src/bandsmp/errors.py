@@ -93,7 +93,7 @@ def read_text(text: str):
         end = raw.find(b"\n", at + _CHUNK) + 1 or len(raw)
         b = np.frombuffer(raw, np.uint8, end - at + 1, at - 1)
         line, at = _read_lines(b, line, values, lengths) - 1, end
-    return np.concatenate(values), np.concatenate(lengths)
+    return tuple(p[0] if len(p) == 1 else np.concatenate(p) for p in (values, lengths))
 
 
 def _read_lines(b: np.ndarray, line: int, values: list, lengths: list) -> int:
@@ -112,8 +112,9 @@ def _read_lines(b: np.ndarray, line: int, values: list, lengths: list) -> int:
         keep = ~np.isin(row, heads)  # the tokens of the lines that are not comments
         starts, size, row, slow = starts[keep], size[keep], row[keep], slow[keep]
     val = _DIGIT.take(b.take(starts))
-    for j in range(1, min(int(size.max(initial=0)), _DIGITS)):
-        at = (size > j).nonzero()[0]
+    for j in range(1, _DIGITS):
+        if not len(at := (size > j).nonzero()[0]):
+            break
         val[at] = val.take(at) * 10 + _DIGIT.take(b.take(starts.take(at) + j))
     for i in slow.nonzero()[0].tolist():
         try:
