@@ -44,22 +44,28 @@ def refusal(v, m: int) -> Optional[str]:
     return None if 0 <= v < m else f"{v + 1} outside 1..{m}"
 
 
-def read_elements(values, m: int) -> tuple[Optional[np.ndarray], Optional[int]]:
-    """values read by operator.index into a flat intp array (None past a value that
-    is not an intp), and the index of the first that refusal refuses, or None.
-    An intp array is copied, not read value by value."""
+def read_elements(values, m: int, noun) -> np.ndarray:
+    """values read by operator.index into a flat intp array; an intp array is
+    copied, not read value by value. The first value that refusal refuses is a
+    one-line OutOfRange: refusal's reason after noun, a string or a function of
+    the value's index."""
     if isinstance(values, np.ndarray) and values.dtype == np.intp:
         out = values.flatten()
     elif 0 < len(values) <= 32 and set(map(type, values)) == {int} and (
             0 <= min(values) and max(values) < m):  # plain ints: past about 40, fromiter is faster
-        return np.array(values, np.intp), None
+        return np.array(values, np.intp)
     else:
         try:
             out = np.fromiter(map(index, values), np.intp, len(values))
         except (OverflowError, TypeError):  # beyond intp, or not an integer
-            return None, next(i for i, v in enumerate(values) if refusal(v, m))
-    bad = out.view(np.uintp) >= m  # a negative value is a large unsigned one
-    return out, int(bad.argmax()) if bad.any() else None
+            out = None
+    if out is None:
+        i = next(i for i, v in enumerate(values) if refusal(v, m))
+    elif (bad := out.view(np.uintp) >= m).any():  # a negative value is a large unsigned one
+        i = int(bad.argmax())
+    else:
+        return out
+    raise OutOfRange(f"{noun if isinstance(noun, str) else noun(i)} {refusal(values[i], m)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +102,7 @@ class Band:
         if a is not None:
             raise OutOfRange(f"row {a + 1} has {len(rows[a])} entries, expected {m}")
         flat = table.reshape(-1) if array else list(chain.from_iterable(rows))
-        entries, i = read_elements(flat, m)
-        if i is not None:
-            raise OutOfRange(f"entry at ({i // m + 1},{i % m + 1}): {refusal(flat[i], m)}")
+        entries = read_elements(flat, m, lambda i: f"entry at ({i // m + 1},{i % m + 1}):")
         self.order = m
         # the table as intp for index arithmetic, which then needs no cast per lookup
         self.itable = entries.reshape(m, m)

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .band import Band, read_elements, refusal
+from .band import Band, read_elements
 from .errors import (ArityMismatch, CapExceeded, OutOfRange, ParseError, as_int, int_table,
                      integer, parsing, read_text)
 
@@ -60,21 +60,16 @@ class GenSet:
             raise ArityMismatch(f"arity {n} outside 0..{MAX_ARITY}")
         array = isinstance(given, np.ndarray) and given.ndim == 2
         members = tuple(map(tuple, given.tolist())) if array else given
-        # the first member that fails a check raises; a member is checked for
-        # its arity, then its range, then for repeating an earlier member
-        k = next((i for i, t in enumerate(members) if len(t) != n), len(members))
-        flat = given[:k].reshape(-1) if array else list(chain.from_iterable(members[:k]))
-        rows, bad = read_elements(flat, m)
-        r = k if bad is None else bad // n
+        # by kind: every member's arity, then every coordinate, then repeats
+        for i, t in enumerate(members):
+            if len(t) != n:
+                raise ArityMismatch(f"generator {i + 1} has arity {len(t)}, expected {n}")
+        flat = given.reshape(-1) if array else list(chain.from_iterable(members))
+        rows = read_elements(flat, m, "coordinate").reshape(len(members), n)
         first: dict[ElementTuple, int] = {}
-        d = next((i for i, t in enumerate(members[:r]) if first.setdefault(t, i) != i), r)
-        if d < r:
-            raise ArityMismatch(f"generator {d + 1} repeats generator {first[members[d]] + 1}")
-        if r < k:
-            raise OutOfRange(f"coordinate {refusal(flat[bad], m)}")
-        if k < len(members):
-            raise ArityMismatch(f"generator {k + 1} has arity {len(members[k])}, expected {n}")
-        rows = rows.reshape(k, n)
+        for i, t in enumerate(members):
+            if first.setdefault(t, i) != i:
+                raise ArityMismatch(f"generator {i + 1} repeats generator {first[t] + 1}")
         rows.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
@@ -93,9 +88,7 @@ class GenSet:
         """t checked as members are, for arity and then range, into a read-only intp row."""
         if len(t) != self.n:
             raise ArityMismatch(f"target arity {len(t)} != generator arity {self.n}")
-        row, i = read_elements(t, self.band.order)
-        if i is not None:
-            raise OutOfRange(f"coordinate {refusal(t[i], self.band.order)}")
+        row = read_elements(t, self.band.order, "coordinate")
         row.setflags(write=False)
         return row
 
@@ -127,9 +120,7 @@ def mul_tuple(band: Band, a: ElementTuple, b: ElementTuple) -> ElementTuple:
     with suppress(IndexError, OverflowError, TypeError, ValueError):  # item() wraps a negative int
         if not a or min(a) >= 0 <= min(b):
             return tuple(map(band.itable.item, a, b))
-    xy, i = read_elements(ab := (*a, *b), band.order)  # both tuples by the element rule
-    if i is not None:
-        raise OutOfRange(f"coordinate {refusal(ab[i], band.order)}")
+    xy = read_elements((*a, *b), band.order, "coordinate")  # both tuples by the element rule
     return tuple(band.itable[xy[:len(a)], xy[len(a):]].tolist())
 
 
@@ -275,8 +266,10 @@ class _Closure:
         self.stored[size:self.size] = rows
         self._origin.append(start * self._k + where[picked].astype(np.int64))
 
-    def word(self) -> list[int]:
-        """The 1-based generator word that the BFS built the target from."""
+    def word(self) -> Optional[list[int]]:
+        """The 1-based generator word that the BFS built the target from, or None if not found."""
+        if self.hit is None:
+            return None
         origin, word, j = np.concatenate(self._origin), [], self.hit
         while j >= 0:
             j, g = divmod(int(origin[j]), self._k)
@@ -291,8 +284,9 @@ def as_cap(cap) -> int:
     return cap
 
 
-def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
-    """The closure BFS over n-tuples, run over S^p, stopping once stop_at is found.
+def _bfs(gens: GenSet, cap: int, stop_at: Optional[np.ndarray]) -> _Closure:
+    """The closure BFS over n-tuples, run over S^p, stopping once stop_at is found;
+    cap is an int of at least 0 and stop_at a row of gens (GenSet.row), or None.
 
     A tuple is a row of codes, p coordinates each (see _codes), padded with
     zero coordinates to whole 8-byte words; 0·0 = 0 keeps the padding zero, and
@@ -303,7 +297,6 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     every tuple gets the same parent, and every word is BFS-shortest and the
     same from run to run.
     """
-    cap = as_cap(cap)
     n, k, m = gens.n, len(gens), gens.band.order
     p, table, _ = _codes(gens.band)
     n_codes, size = len(table), table.itemsize
@@ -312,7 +305,7 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
     padded = np.zeros((k + 1, width * p), np.intp)  # the generators, then the target
     padded[:k, :n] = gens.rows
     if stop_at is not None:
-        padded[k, :n] = gens.row(stop_at)
+        padded[k, :n] = stop_at
     packed = np.dot(padded.reshape(k + 1, width, p), m ** np.arange(p)).astype(table.dtype)
     gens, words = packed[:k, :cols], packed.view(np.uint64)
     found = _Closure(words.shape[1], -(-cols * size // 2), k, None if stop_at is None else words[k])
@@ -347,7 +340,7 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[ElementTuple]) -> _Closure:
 
 def closure(gens: GenSet, cap: int = DEFAULT_CAP) -> list[ElementTuple]:
     """Full <A> in BFS insertion order; CapExceeded if it grows past cap."""
-    found = _bfs(gens, cap, stop_at=None)
+    found = _bfs(gens, as_cap(cap), stop_at=None)
     p, table, digits = _codes(gens.band)
     rows = found.stored[:found.size].view(table.dtype)
     out: list[ElementTuple] = []
@@ -361,8 +354,7 @@ def member_closure_word(
     gens: GenSet, b: ElementTuple, cap: int = DEFAULT_CAP
 ) -> Optional[list[int]]:
     """A shortest witnessing generator word (1-based indices), or None."""
-    found = _bfs(gens, cap, stop_at=b)
-    return None if found.hit is None else found.word()
+    return _bfs(gens, as_cap(cap), gens.row(b)).word()
 
 
 # -- instance file format -----------------------------------------------------

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .band import Band, read_elements, refusal
-from .errors import NotAWitness, OutOfRange, UnknownName
+from .band import Band, read_elements
+from .errors import NotAWitness, UnknownName
 from .power import _BLOCK_BYTES
 
 FORBIDDEN_CASES = ("T9", "T13a", "T13b", "T17")
@@ -118,10 +118,8 @@ def classify(band: Band) -> Classification:
 def is_witness(band: Band, w: Witness) -> bool:
     """Does (d,e,x,y,h) satisfy the premise but break the conclusion? A field
     that is not an element of band is a one-line OutOfRange."""
-    ints, i = read_elements(w.as_tuple(), band.order)
-    if i is not None:
-        raise OutOfRange(f"witness {'dexyh'[i]}: {refusal(w.as_tuple()[i], band.order)}")
-    d, e, x, y, h = ints.tolist()
+    d, e, x, y, h = read_elements(w.as_tuple(), band.order,
+                                  lambda i: f"witness {'dexyh'[i]}:").tolist()
     mul = band.prod
     de = mul([d, e])
     premise = (

@@ -19,14 +19,14 @@ generator order, so the steps are those of the coordinate-by-coordinate rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .band import Band
-from .errors import (EmptyWord, NotTractable, OutOfRange, PreconditionViolated, UnknownName,
-                     as_int)
+from .band import Band, read_elements
+from .errors import EmptyWord, NotTractable, PreconditionViolated, UnknownName, as_int
 from .power import (
+    _bfs,
     _fold,
     DEFAULT_CAP,
     ElementTuple,
@@ -34,7 +34,6 @@ from .power import (
     SmpInstance,
     as_cap,
     leq_cw,
-    member_closure_word,
 )
 from .quasi import find_lambda_witness
 
@@ -301,7 +300,7 @@ def smp_decide_auto(
     if method is None:
         method = "poly" if tractable else "closure"
     if method == "closure":
-        word = member_closure_word(inst.gens, inst.target, cap=cap)
+        word = _bfs(inst.gens, cap, inst.row).word()
         return Decision("non-member" if word is None else "member", method, stats, word=word)
     if not (force or tractable):
         raise NotTractable("band fails a quasiidentity scan; "
@@ -316,13 +315,10 @@ def smp_decide_auto(
     return Decision("member", method, stats, pair=(_tuple(x), _tuple(y)))
 
 
-def verify_word(gens: GenSet, word: Sequence[int], b: ElementTuple) -> bool:
+def verify_word(gens: GenSet, word: Iterable[int], b: ElementTuple) -> bool:
     """Evaluate a 1-based generator-index word over the generator rows and compare with b."""
-    if not word:
+    letters = [as_int(i, "generator index") - 1 for i in word]
+    if not letters:
         raise EmptyWord("a witnessing word must be nonempty")
-    k = len(gens)
-    word = [as_int(i, "generator index") for i in word]
-    for i in word:
-        if not 1 <= i <= k:
-            raise OutOfRange(f"generator index {i} outside 1..{k}")
-    return _fold(gens.band.itable, gens.rows, [i - 1 for i in word]).tolist() == list(b)
+    letters = read_elements(letters, len(gens), "generator index")
+    return _fold(gens.band.itable, gens.rows, letters).tolist() == list(b)

@@ -12,11 +12,11 @@ import math
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .band import Band, read_elements, refusal
+from .band import Band, read_elements
 from .errors import (ArityTooLarge, EmptyWord, OutOfRange, ParseError, UnboundVariable,
                      UnsupportedIndex, as_int, parsing)
 from .power import _BLOCK_BYTES, _fold
@@ -94,7 +94,7 @@ def h_n(n: int, w: Word) -> Word:
     n = as_int(n, "n")
     if n < 2:
         raise UnsupportedIndex(f"h_n is defined for n >= 2, got {n}")
-    w = tuple(_variables(w)) if w else ()
+    w = _variables(w)
     if _h_length(n, w) > MAX_WORD_LENGTH:
         raise ArityTooLarge(f"h_n(w) has more than {MAX_WORD_LENGTH} letters")
     out, stack = [], [(n, w, False)]
@@ -155,11 +155,12 @@ def ghi_word(family: str, n: int) -> Word:
     return tuple(reversed(w) if flipped else w)
 
 
-def _variables(w: Sequence) -> Sequence[int]:
-    """w's variables read by as_int, as ints from 1 (x0 would read the last value)."""
+def _variables(w: Iterable) -> Word:
+    """w read once into a tuple of ints from 1, each by as_int (x0 would read the last value)."""
+    w = tuple(w)
     if not set(map(type, w)) <= {int}:  # the fast test; as_int names the culprit
-        w = [as_int(v, "variable") for v in w]
-    if min(w) < 1:
+        w = tuple(as_int(v, "variable") for v in w)
+    if min(w, default=1) < 1:
         raise OutOfRange("variable indices start at 1")
     return w
 
@@ -172,9 +173,12 @@ class Identity:
     rhs: Word
 
     def __post_init__(self):
-        if not self.lhs or not self.rhs:
+        lhs, rhs = tuple(self.lhs), tuple(self.rhs)
+        if not lhs or not rhs:
             raise EmptyWord("an identity needs two nonempty sides")
-        _variables(self.lhs + self.rhs)
+        w = _variables(lhs + rhs)
+        object.__setattr__(self, "lhs", w[:len(lhs)])
+        object.__setattr__(self, "rhs", w[len(lhs):])
 
     def dual(self) -> "Identity":
         return Identity(dual_word(self.lhs), dual_word(self.rhs))
@@ -182,18 +186,16 @@ class Identity:
 
 def eval_word(band: Band, w: Word, assignment: Sequence[int]) -> int:
     """The term function of w at the assignment (assignment[i] is x_{i+1})."""
+    w = _variables(w)
     if not w:
         raise EmptyWord("cannot evaluate the empty word in a band")
-    w = _variables(w)
     try:
         values = [assignment[v - 1] for v in w]
     except IndexError:
         k = len(assignment)
         raise UnboundVariable(f"assignment of length {k} does not cover x{max(w)}") from None
-    ints, i = read_elements(values, band.order)  # -1 would read the last row; 2.5 no row
-    if i is not None:
-        raise OutOfRange(f"assignment value {refusal(values[i], band.order)}")
-    return band.prod(ints.tolist())
+    # -1 would read the last row; 2.5 no row
+    return band.prod(read_elements(values, band.order, "assignment value").tolist())
 
 
 def satisfies_identity(

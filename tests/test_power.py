@@ -143,18 +143,22 @@ class TestGenSet:
         assert GenSet.of(s10, [()], n=0).rows.shape == (1, 0)
 
     def test_first_failing_member_raises_as_a_loop_would(self, s9):
-        """The checks are vectorized; the loop they replace is the referee:
-        members in order, each checked for arity, range, then repetition."""
+        """The checks go by kind, the range check vectorized; the referee is
+        three loops over the members in order: every member's arity, then
+        every coordinate's range, then repetition. The first fault of the
+        earliest kind raises."""
         def referee(members, n):
-            seen = {}
             for i, t in enumerate(members, 1):
                 if len(t) != n:
                     return ArityMismatch, f"generator {i} has arity {len(t)}, expected {n}"
+            for t in members:
                 for v in t:
                     if not isinstance(v, (int, np.integer)):
                         return OutOfRange, f"coordinate {v!r} is not an integer"
                     if not 0 <= v < 9:
                         return OutOfRange, f"coordinate {v + 1} outside 1..9"
+            seen = {}
+            for i, t in enumerate(members, 1):
                 if t in seen:
                     return ArityMismatch, f"generator {i} repeats generator {seen[t]}"
                 seen[t] = i

@@ -1,6 +1,7 @@
 """Quasiidentity scans, witnesses, classification, forbidden bands."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -435,3 +436,29 @@ class TestZoo:
                     assert not classify(b).tractable, (base, b.table)
             # the report and the search cover the band and its dual both
             check_report(band)
+
+
+class TestGuards:
+    """Each internal check fires, with its own class and message, once its
+    invariant is broken by hand."""
+
+    def test_j_preorder_cache_checked(self, monkeypatch):
+        band = catalog("S10")  # a new band, not scanned yet
+        monkeypatch.setattr(band, "green", replace(band.green, leq_j=~band.green.leq_j))
+        with pytest.raises(AssertionError, match="^J-preorder cache disagrees with d e d = d$"):
+            find_lambda_witness(band)
+
+    def test_normalized_witness_checked(self, monkeypatch, s9):
+        # the input passes as a witness and the output does not
+        answers = iter([True, False])
+        monkeypatch.setattr(quasi, "is_witness", lambda band, w: next(answers))
+        with pytest.raises(AssertionError,
+                           match="^normalization produced a non-witness; internal bug$"):
+            normalize_witness(s9, S9_WITNESS)
+
+    def test_generated_subband_checked(self, monkeypatch, s9):
+        # T9's table replaced by the left-zero band of the same order
+        monkeypatch.setattr(quasi, "construct_forbidden_band", lambda case: catalog("LZ(9)"))
+        with pytest.raises(AssertionError, match=(
+                f"^{S9_WITNESS} does not generate T9 by its words; internal bug$")):
+            forbidden_subband(s9, S9_WITNESS)

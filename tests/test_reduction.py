@@ -340,6 +340,14 @@ class TestRoundTrips:
         out = sat_to_smp(SatInstance(1, (frozenset({1}),)))
         assert word_to_assignment(out, [1, 4, 4, 2]) == [True]
 
+    def test_extracted_assignment_checked(self, monkeypatch):
+        # the word witnesses, but the formula is made to refuse every assignment
+        out = sat_to_smp(SatInstance(1, (frozenset({1}),)))
+        monkeypatch.setattr(SatInstance, "evaluate", lambda self, assignment: False)
+        with pytest.raises(NotAWitnessingWord,
+                           match="^extracted assignment does not satisfy the formula$"):
+            word_to_assignment(out, [1, 4, 2])
+
     def test_non_witnessing_word_rejected(self):
         out = sat_to_smp(SatInstance(1, (frozenset({1}),)))
         with pytest.raises(NotAWitnessingWord):

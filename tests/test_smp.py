@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import partial, reduce
 
 import numpy as np
@@ -718,6 +719,19 @@ class TestVerifyWord:
         with pytest.raises(OutOfRange, match=r"generator index 2 outside 1\.\.1"):
             verify_word(GenSet.of(s10, [(1,)]), [2], (1,))
 
+    def test_numpy_and_generator_words(self, s10):
+        # a numpy word was a bare "truth value of an array is ambiguous" from `if not word`,
+        # and an empty generator an IndexError
+        gens = GenSet.of(s10, [(1,), (2,)])
+        assert verify_word(gens, np.array([1, 2]), (3,))
+        assert verify_word(gens, (i for i in (1, 2)), (3,))
+        assert not verify_word(gens, iter((2, 1)), (3,))
+        for empty in (np.array([], np.intp), iter(())):
+            with pytest.raises(EmptyWord, match="^a witnessing word must be nonempty$"):
+                verify_word(gens, empty, (3,))
+        with pytest.raises(OutOfRange, match=r"^generator index 3 outside 1\.\.2$"):
+            verify_word(gens, np.array([1, 3]), (3,))
+
     @pytest.mark.parametrize("name", ["S9", "T13a", "Rect(2,3)"])
     def test_matches_the_tuple_product(self, name):
         band = catalog(name)
@@ -732,3 +746,50 @@ class TestVerifyWord:
             if n:
                 assert not verify_word(gens, word, b[:-1])
                 assert not verify_word(gens, word, b[:-1] + ((b[-1] + 1) % band.order,))
+
+
+class TestGuards:
+    """Each internal check fires, with its own class and message, once its
+    invariant is broken by hand."""
+
+    def test_infix_unverified_solution(self, monkeypatch, s10):
+        # every generator "matches", so the first is taken whether or not d y a e = c
+        monkeypatch.setattr(smp._Misses, "matches", lambda self, mask: np.ones(len(self.A), bool))
+        inst = CpInfixInstance((8,), (5,), (4,), GenSet.of(s10, [(1,), (2,), (3,)]))
+        with pytest.raises(AssertionError, match="^infix solver returned an unverified solution$"):
+            cp_infix(inst)
+
+    def test_infix_bound(self, monkeypatch):
+        # this instance takes one inner step; a height of 1 makes the bound n(h-1) = 0
+        band = catalog("S10")
+        inst = CpInfixInstance((8,), (5,), (4,), GenSet.of(band, [(1,), (2,), (3,)]))
+        stats = LoopStats()
+        cp_infix(inst, stats=stats)
+        assert stats.infix_pass_max == 1
+        monkeypatch.setattr(band, "green", replace(band.green, height=1))
+        with pytest.raises(AssertionError, match="^infix inner loop exceeded the n\\(h-1\\) bound of 0$"):
+            cp_infix(inst)
+
+    def test_suffix_bound(self, monkeypatch):
+        # one suffix step and no inner infix step; a height of 1 makes the bound 0
+        band = catalog("S10")
+        gens, b = GenSet.of(band, [(2, 5), (6, 6)]), (8, 5)
+        stats = LoopStats()
+        cp_suffix(gens, b, stats=stats)
+        assert (stats.infix_pass_max, stats.suffix_call_max) == (0, 1)
+        monkeypatch.setattr(band, "green", replace(band.green, height=1))
+        with pytest.raises(AssertionError, match="^suffix while loop exceeded the n\\(h-1\\) bound of 0$"):
+            cp_suffix(gens, b)
+
+    def test_suffix_unverified_solution(self, monkeypatch, s10):
+        # an infix "solution" that breaks b x = b: x becomes a y x with y = 2
+        monkeypatch.setattr(smp, "_cp_infix_core", lambda *args: np.array([2]))
+        with pytest.raises(AssertionError, match="^suffix solver returned an unverified solution$"):
+            cp_suffix(GenSet.of(s10, [(0,), (1,)]), (1,))
+
+    def test_pair_must_give_the_target(self, monkeypatch, s10):
+        # a suffix "solution" of the first generator on both sides: 1 1 = 1, not 3
+        monkeypatch.setattr(smp, "_cp_suffix_core", lambda band, A, b, stats: A[0])
+        inst = SmpInstance(GenSet.of(s10, [(1,), (2,)]), (3,))
+        with pytest.raises(AssertionError, match="^x L b and y R b should force b = y x$"):
+            smp_decide_auto(inst, method="poly")

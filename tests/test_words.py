@@ -133,6 +133,11 @@ class TestHn:
             monkeypatch.setattr(words, "MAX_WORD_LENGTH", length)
             assert len(h_n(n, w)) == length
 
+    def test_word_read_once(self):
+        # an iterator was walked twice, and empty by min(): a bare ValueError
+        assert h_n(3, iter((1, 2))) == h_n(3, (1, 2)) == h_n(3, np.array([1, 2]))
+        assert h_n(3, iter(())) == ()
+
     def test_refused_before_building(self):
         # h_1000(1 2 3) has 167,165,999 letters, h_(10^8)(1) has 10^8 - 1
         for n, w in [(1000, (1, 2, 3)), (10**8, (1,))]:
@@ -302,8 +307,25 @@ class TestEval:
         with pytest.raises(OutOfRange, match="^variable indices start at 1$"):
             eval_word(s10, w, [1, 2])
 
+    def test_words_read_once(self, s10):
+        # an iterator was walked twice, and empty by min(): a bare ValueError;
+        # a numpy word was a bare "truth value of an array is ambiguous"
+        for w in (iter((1, 2)), np.array([1, 2])):
+            assert eval_word(s10, w, [0, 1]) == eval_word(s10, (1, 2), [0, 1])
+        for w in (iter(()), np.array([], np.intp)):
+            with pytest.raises(EmptyWord, match="^cannot evaluate the empty word in a band$"):
+                eval_word(s10, w, [0])
+
 
 class TestSatisfiesIdentity:
+    def test_sides_are_tuples(self):
+        # lists were kept: such an identity could not be hashed, nor equal the tuple one
+        ident = Identity([1], [1, 1])
+        assert ident == Identity((1,), (1, 1)) and hash(ident) == hash(Identity((1,), (1, 1)))
+        assert (ident.lhs, ident.rhs) == ((1,), (1, 1))
+        assert Identity(iter((2, 1)), np.array([1, 2])) == Identity((2, 1), (1, 2))
+        assert Identity((1,), [np.int64(2)]).rhs == (2,)
+
     @pytest.mark.parametrize("lhs, rhs", [((), (1,)), ((1,), ()), ((), ())])
     def test_empty_side_refused(self, lhs, rhs):
         # one rule, at construction; satisfies_identity never sees an empty side
