@@ -8,6 +8,7 @@ against printed references line by line.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import chain
@@ -36,12 +37,13 @@ Table = Sequence[Sequence[int]]
 
 def refusal(v, m: int) -> Optional[str]:
     """Why v is not an element of a band of order m, after the noun its caller
-    gives, or None. An element is read by operator.index: 1.9 is refused."""
-    try:
-        v = index(v)
-    except TypeError:
-        return f"{v!r} is not an integer"
-    return None if 0 <= v < m else f"{v + 1} outside 1..{m}"
+    gives, or None. An element is read by operator.index, and a bool is refused
+    as errors.as_int refuses it: 1.9 and True are not elements."""
+    if not isinstance(v, bool):
+        with suppress(TypeError):
+            v = index(v)
+            return None if 0 <= v < m else f"{v + 1} outside 1..{m}"
+    return f"{v!r} is not an integer"
 
 
 def read_elements(values, m: int, noun) -> np.ndarray:
@@ -54,6 +56,8 @@ def read_elements(values, m: int, noun) -> np.ndarray:
     elif 0 < len(values) <= 32 and set(map(type, values)) == {int} and (
             0 <= min(values) and max(values) < m):  # plain ints: past about 40, fromiter is faster
         return np.array(values, np.intp)
+    elif bool in set(map(type, values)):  # operator.index reads a bool as 0 or 1; refusal does not
+        out = None
     else:
         try:
             out = np.fromiter(map(index, values), np.intp, len(values))
@@ -176,8 +180,12 @@ class Band:
 
     def dual(self) -> "Band":
         """The band of itable's transpose, not validated again: L and R swap, J, its
-        classes and the height are shared; its own lambda scan is this band's reversed one."""
-        if self._dual is None:
+        classes and the height are shared; its own lambda scan is this band's reversed one.
+        A commutative band is its own dual, so it is returned itself, with its name,
+        Green cache, lambda scan and codes."""
+        if self._dual is None and np.array_equal(self.itable, self.itable.T):
+            self._dual = self
+        elif self._dual is None:
             d = object.__new__(Band)
             d.order, d.name = self.order, f"dual({self.name})" if self.name else None
             d.itable = self.itable.T.copy()

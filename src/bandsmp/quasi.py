@@ -108,7 +108,8 @@ def _scan(band: Band) -> Optional[Witness]:
 def classify(band: Band) -> Classification:
     """Tractable iff both quasiidentity scans pass; each Band is scanned once.
 
-    The reversed-word scan is the plain scan of the dual band.
+    The reversed-word scan is the plain scan of the dual band, so a
+    commutative band, its own dual, is scanned once for both.
     """
     w, wd = find_lambda_witness(band), find_lambda_witness(band.dual())
     return Classification(tractable=(w is None and wd is None), lambda_witness=w,

@@ -222,7 +222,7 @@ def _cp_suffix_core(band: Band, A: np.ndarray, b: np.ndarray,
 
     above_b = None
     iterations = 0
-    while not leq_cw(green.leq_l, x, b):  # x L b, as b x = b
+    while not green.leq_l[x, b].all():  # x L b, as b x = b
         if above_b is None:  # the first step makes the miss counters
             above_b, above, hits = leq_cw(green.leq_j, b, A), _Misses(A), _Misses(A)
         above_x = above.matches(green.leq_j.take(x, 0))
@@ -307,7 +307,8 @@ def smp_decide_auto(
                            "pass force=True (CLI: --algo poly --force) for a sound-only run")
     A, b = inst.gens.rows, inst.row
     x = _cp_suffix_core(band, A, b, stats)
-    y = None if x is None else _cp_suffix_core(band.dual(), A, b, stats)
+    # a commutative band is its own dual, where the second search would find x again
+    y = x if x is None or band.dual() is band else _cp_suffix_core(band.dual(), A, b, stats)
     if y is None:
         return Decision("non-member" if tractable else "unknown", method, stats)
     if (band.itable[y, x] != b).any():

@@ -117,7 +117,8 @@ class TestElementRule:
         (np.float64(2.0), f"{np.float64(2.0)!r} is not an integer"),
         ("3", "'3' is not an integer"),
         (None, "None is not an integer"),
-    ], ids=["-1", "9", "2**64", "1.5", "float64", "str", "None"])
+        (True, "True is not an integer"),  # as errors.as_int refuses it, not read as 1
+    ], ids=["-1", "9", "2**64", "1.5", "float64", "str", "None", "True"])
     def test_every_entry_point_refuses_alike(self, s9, value, reason):
         prefixes = {"Band": "entry at (2,1): ", "GenSet": "coordinate ",
                     "GenSet.row": "coordinate ", "eval_word": "assignment value ",
@@ -127,8 +128,7 @@ class TestElementRule:
                 call()
             assert str(exc.value) == prefixes[name] + reason, name
 
-    @pytest.mark.parametrize("value", [np.int64(1), np.uint8(1), True],
-                             ids=["int64", "uint8", "True"])
+    @pytest.mark.parametrize("value", [np.int64(1), np.uint8(1)], ids=["int64", "uint8"])
     def test_every_entry_point_accepts_integers(self, s9, value):
         got = {name: call() for name, call in self.entry_points(s9, value).items()}
         assert got["Band"] == s9
@@ -264,6 +264,19 @@ class TestDual:
         for f in ("j_class_of", "j_classes", "height"):
             assert getattr(d.green, f) == getattr(ref.green, f)
         assert d.dual() is band and d == ref
+
+    def test_a_commutative_band_is_its_own_dual(self):
+        # no transposed copy, and no second Green cache, scan slot or codes
+        chains = [catalog(name) for name in CATALOG_EXAMPLES if name.startswith("SL-chain")]
+        product = product_band(catalog("SL-chain(2)"), catalog("SL-chain(3)"))
+        for band in (Band([[0]]), *chains, product):
+            assert band.dual() is band and band.dual().name == band.name
+
+    @pytest.mark.parametrize("name", ["S9", "LZ(2)", "Rect(3,4)"])
+    def test_a_noncommutative_band_is_not(self, name):
+        band = catalog(name)
+        d = band.dual()
+        assert d is not band and d.dual() is band and d.name == f"dual({name})"
 
 
 class TestAdjoinIdentity:

@@ -241,6 +241,17 @@ class TestClassify:
         assert cp_suffix(GenSet.of(chain, [(0,)]), (0,)) == (0,)
         assert calls == [chain]
 
+    def test_a_commutative_band_is_scanned_once(self, monkeypatch):
+        # it is its own dual, so both orientations read one scan slot
+        calls = []
+        scan = quasi._scan
+        monkeypatch.setattr(quasi, "_scan", lambda band: calls.append(band) or scan(band))
+        chain = catalog("SL-chain(16)")
+        result = classify(chain)
+        assert result.tractable and result.lambda_witness is result.lambda_dual_witness is None
+        assert embeds_forbidden(chain).entries == ()
+        assert calls == [chain]
+
     @pytest.mark.parametrize("name", FAILING)
     def test_failing_catalog_bands(self, name):
         assert classify(catalog(name)).verdict == "NP-COMPLETE"

@@ -677,6 +677,18 @@ class TestDecision:
         slots = [band] if scan(band) is not None else [band, band.dual()]
         assert [id(b) for b in calls] == [id(b) for b in slots[:len(slots) * reads]]
 
+    def test_a_commutative_band_runs_one_suffix_search(self, monkeypatch):
+        # SL-chain(4) is its own dual, so the search for y would repeat the one for x
+        band = catalog("SL-chain(4)")
+        inst = SmpInstance(GenSet.of(band, [(3, 1, 2), (1, 3, 3), (2, 2, 1)]), (1, 1, 1))
+        x = smp._cp_suffix_core(band, inst.gens.rows, inst.row, LoopStats())
+        calls = []
+        core = smp._cp_suffix_core
+        monkeypatch.setattr(smp, "_cp_suffix_core", lambda *args: calls.append(args) or core(*args))
+        decision = smp_decide_auto(inst)
+        assert (decision.verdict, decision.method, len(calls)) == ("member", "poly", 1)
+        assert decision.pair == (tuple(x.tolist()), tuple(x.tolist()))
+
     def test_unknown_method(self, s10):
         inst = SmpInstance(GenSet.of(s10, [(1,), (2,)]), (3,))
         with pytest.raises(UnknownName, match="no method 'auto'"):
