@@ -47,20 +47,22 @@ def refusal(v, m: int) -> Optional[str]:
 
 
 def read_elements(values, m: int, noun) -> np.ndarray:
-    """values read by operator.index into a flat intp array; an intp array is
-    copied, not read value by value. The first value that refusal refuses is a
-    one-line OutOfRange: refusal's reason after noun, a string or a function of
-    the value's index."""
+    """values read into a flat intp array: an intp array is copied, plain ints
+    are read by one np.array call and other values by operator.index, none by
+    a Python loop. The first value that refusal refuses is a one-line
+    OutOfRange: refusal's reason after noun, a string or a function of the
+    value's index."""
     if isinstance(values, np.ndarray) and values.dtype == np.intp:
         out = values.flatten()
-    elif 0 < len(values) <= 32 and set(map(type, values)) == {int} and (
-            0 <= min(values) and max(values) < m):  # plain ints: past about 40, fromiter is faster
+    elif (kinds := set(map(type, values))) == {int} and len(values) <= 32 and (
+            0 <= min(values) and max(values) < m):  # a short run of plain ints, in range
         return np.array(values, np.intp)
-    elif bool in set(map(type, values)):  # operator.index reads a bool as 0 or 1; refusal does not
+    elif bool in kinds:  # operator.index reads a bool as 0 or 1; refusal does not
         out = None
     else:
-        try:
-            out = np.fromiter(map(index, values), np.intp, len(values))
+        try:  # np.array would truncate a float, so only plain ints reach it
+            out = np.array(values, np.intp) if kinds == {int} else np.fromiter(
+                map(index, values), np.intp, len(values))
         except (OverflowError, TypeError):  # beyond intp, or not an integer
             out = None
     if out is None:

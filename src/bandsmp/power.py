@@ -226,7 +226,7 @@ class _Closure:
         if not head.all():
             # equal rows have equal fingerprints, so an unequal pair among those is a collision
             twin = (~head).nonzero()[0]
-            if _differ(rows[order[twin]], rows[order[twin - 1]]).any():
+            if _differ(rows.take(order[twin], 0), rows.take(order[twin - 1], 0)).any():
                 return None
             at = head.nonzero()[0]
             fp, order = fp[at], np.minimum.reduceat(order, at)
@@ -235,9 +235,10 @@ class _Closure:
             i = run.searchsorted(fp)
             seen = run.take(i, mode="clip") == fp
             if np.count_nonzero(seen):
-                if _differ(self.stored[ins[i[seen]]], rows[first[seen]]).any():
+                if _differ(self.stored.take(ins[i.compress(seen)], 0),
+                           rows.take(first.compress(seen), 0)).any():
                     return None
-                fp, first = fp[~seen], first[~seen]
+                fp, first = fp.compress(fresh := ~seen), first.compress(fresh)
         return fp, first
 
     def add(self, rows: np.ndarray, where: np.ndarray, start: int, cap: int):
@@ -248,13 +249,15 @@ class _Closure:
             self._reseed()
         if not len(rows) or not len(fp := new[0]):
             return
-        size, picked = self.size, np.sort(new[1])
-        rows = rows[picked]
+        size, order = self.size, new[1].argsort()  # one permutation numbers the new rows
+        picked, ins = new[1][order], np.empty(len(fp), np.int32)
+        ins[order] = np.arange(size, size + len(fp), dtype=np.int32)
+        rows = rows.take(picked, 0)
         if self._target is not None and len(hit := (~_differ(rows, self._target)).nonzero()[0]):
             self.hit = size + int(hit[0])
         if (size + len(fp) if self.hit is None else self.hit + 1) > cap:
             raise CapExceeded(max(size, cap) + 1)
-        self.runs.append((fp, (picked.searchsorted(new[1]) + size).astype(np.int32)))
+        self.runs.append((fp, ins))
         while len(self.runs) > 1 and len(self.runs[-2][0]) <= 2 * len(self.runs[-1][0]):
             merged, ins = (np.concatenate(p) for p in zip(self.runs.pop(-2), self.runs.pop()))
             at = merged.argsort(kind="stable")  # a timsort: one linear merge of the two runs
@@ -331,7 +334,7 @@ def _bfs(gens: GenSet, cap: int, stop_at: Optional[np.ndarray]) -> _Closure:
         products = products.view(np.uint64)
         # a product equal to its tuple or to its generator is stored already
         where = np.flatnonzero(_differ(products, stored[:, None]) & _differ(products, words[:k]))
-        rows = products.reshape(-1, products.shape[-1])[where]
+        rows = products.reshape(-1, products.shape[-1]).take(where, 0)
         del products
         found.add(rows, where, c, cap)
         c += len(block)
@@ -345,7 +348,7 @@ def closure(gens: GenSet, cap: int = DEFAULT_CAP) -> list[ElementTuple]:
     rows = found.stored[:found.size].view(table.dtype)
     out: list[ElementTuple] = []
     for c in range(0, len(rows), 256):  # no list of lists, or intp copy, of the whole closure
-        chunk = digits[rows[c:c + 256]].reshape(-1, p * rows.shape[1])
+        chunk = digits.take(rows[c:c + 256], 0).reshape(-1, p * rows.shape[1])
         out.extend(map(tuple, chunk[:, :gens.n].tolist()))
     return out
 

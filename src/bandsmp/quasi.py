@@ -83,7 +83,7 @@ def _scan(band: Band) -> Optional[Witness]:
     for lo in range(0, m, step):
         es = slice(lo, lo + step)  # e_j = lo + j
         de = t[:, es]  # de[d, j] = d e_j
-        uye = de[t].transpose(0, 2, 1)  # uye[u, j, y] = u y e_j, and d x e_j at y = x
+        uye = de.take(t, 0).transpose(0, 2, 1)  # uye[u, j, y] = u y e_j, and d x e_j at y = x
         up = leq_j[es]  # up[j, x]: e_j <=_J x
         cand = (uye != de[:, :, None]) & leq_j[:, es, None] & (up & hok[:, es].T)
         if not cand.any():

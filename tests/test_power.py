@@ -582,6 +582,55 @@ class TestReseedWithStoredRows:
         assert max(reseeds) > len(gens) and reseeds.count(max(reseeds)) >= 2
 
 
+def assert_numbered(found):
+    """The runs hold every stored tuple once: their insertion numbers are a permutation
+    of range(size), and each run's keys are its rows' fingerprints, in increasing order."""
+    ins = np.concatenate([ins for _, ins in found.runs])
+    assert ins.dtype == np.int32 and np.sort(ins).tolist() == list(range(found.size))
+    for key, ins in found.runs:
+        rows = found.stored[:found.size][ins]
+        assert key.tolist() == (rows.view("<u2")[:, :found._chunks] @ found._coef).tolist()
+        assert (key[1:] > key[:-1]).all()
+
+
+class TestStoreNumbers:
+    """The store's insertion numbers after every add, which the output-only tests
+    see only as extra reseeds: a wrong number hides a row from the word check."""
+
+    @pytest.fixture(autouse=True)
+    def checked(self, monkeypatch):
+        add = power._Closure.add
+
+        def spy(found, *args):
+            add(found, *args)
+            assert_numbered(found)
+        monkeypatch.setattr(power._Closure, "add", spy)
+
+    @pytest.fixture
+    def gens(self, s9):
+        rng = random.Random("store")  # five generators of arity 10, 287 tuples
+        return GenSet.of(s9, [tuple(rng.randrange(9) for _ in range(10)) for _ in range(5)])
+
+    def test_after_a_closure(self, gens, block_bytes):
+        found = power._bfs(gens, power.DEFAULT_CAP, None)
+        assert found.size == 287 and len(found.runs) > 1
+        assert_numbered(found)
+
+    def test_after_a_late_reseed(self, gens, monkeypatch, block_bytes):
+        # a row is five codes of S9^2 in three 16-bit chunks. Salt 0 is orthogonal
+        # to the difference of the last tuple's chunks and those of a tuple that
+        # agrees with it in the third, so the store reseeds with many tuples
+        # stored and builds its one run from them
+        chunks = power._bfs(gens, power.DEFAULT_CAP, None).stored.view("<u2")[:287, :3]
+        d0, d1, _ = next(d for d in chunks[-1].astype(np.int64) - chunks[-2::-1]
+                         if d[0] and d[1] and not d[2]).tolist()
+        weak = [d1 % 2**64, -d0 % 2**64, 0x9E3779B97F4A7C15]
+        reseeds = reseed_with(monkeypatch, lambda salt, chunks: weak if salt == 0 else None)
+        found = power._bfs(gens, power.DEFAULT_CAP, None)
+        assert found.size == 287 and min(reseeds) > 50
+        assert_numbered(found)
+
+
 #: (band, coordinates a code holds, bytes a code takes) at each order where either changes
 PACKINGS = [("SL-chain(2)", 8, 1), ("SL-chain(3)", 5, 1), ("Rect(2,2)", 4, 1),
             ("Rect(4,4)", 2, 1), ("SL-chain(17)", 1, 1), ("Rect(16,16)", 1, 1),
